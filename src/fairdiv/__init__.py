@@ -27,7 +27,6 @@ from .axioms import (
 )
 from .core import (
     DEFAULT_MAX_NODES,
-    DISCARDED,
     Allocation,
     AllocationDistribution,
     AssignmentMatrix,

@@ -32,7 +32,7 @@ from .core import (
     marginals,
 )
 from .mechanisms import Mechanism
-from .oracle import LPSolution, enumerate_allocations, pareto_dominates, pea_solution
+from .oracle import LPSolution, dominates, enumerate_allocations, pea_solution, utility_vector
 
 Utilities = tuple[tuple[Value, ...], ...]
 UtilitiesLike = Union[Instance, Sequence[Sequence[Value]]]
@@ -266,9 +266,11 @@ def check_pep(dist: AllocationDistribution,
     u = _resolve_utilities(dist, utilities)
     bids = None if utilities is None else BidProfile(u)
     candidates = enumerate_allocations(dist.instance, bids, max_nodes=max_nodes)
+    rivals = [(rival, utility_vector(rival, u)) for rival in candidates]
     for alloc, _ in dist:
-        for rival in candidates:
-            if pareto_dominates(rival, alloc, u):
+        own = utility_vector(alloc, u)
+        for rival, vector in rivals:
+            if dominates(vector, own):
                 witness = DominationWitness(alloc, rival)
                 return AxiomVerdict("pep", False, None, witness)
     return AxiomVerdict("pep", True, None, None)

@@ -72,6 +72,7 @@ from .instances import (
 from .mechanisms import (
     MECHANISM_NAMES,
     Mechanism,
+    _positive_bidders,
     balanced_like,
     get_mechanism,
     like,
@@ -578,12 +579,6 @@ def cmd_table(args) -> int:
 
 # --- theorems ----------------------------------------------------------
 
-def _positive_columns(bids: BidProfile) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(i for i in range(bids.n) if bids.bid(i, j) > 0) for j in range(bids.m)
-    )
-
-
 def _theorem_suites(seed: int):
     base = counterexample_instances()
     mixed = base + random_suite(12, seed)
@@ -609,7 +604,7 @@ def _theorem_checks(seed: int, nodes: Optional[int]) -> list[dict]:
     pl = pareto_like()
     for _, inst in mixed:
         bids = BidProfile.sincere(inst)
-        levels, viable = pareto_levels(bids, _positive_columns(bids))
+        levels, viable = pareto_levels(bids, _positive_bidders(bids))
         for j in range(1, inst.m + 1):
             sub = inst.prefix(j)
             brute = {utility_vector(a, sub.utilities)

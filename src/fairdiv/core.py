@@ -165,10 +165,6 @@ class BidProfile:
         return self.replace_row(agent, row)
 
 
-#: Owner entry marking an item that no one bid for.
-DISCARDED = None
-
-
 @dataclass(frozen=True)
 class Allocation:
     """Complete assignment of a prefix of items: owners[j] is the agent index

@@ -37,6 +37,7 @@ from .core import (
     PriorityOrder,
     Value,
     WorkBoundExceeded,
+    as_value,
 )
 
 MECHANISM_NAMES = ("osd", "orp", "like", "balanced-like", "maximum-like", "pareto-like")
@@ -141,26 +142,35 @@ class MaximumLikeRule(FeasibilityRule):
         return state[item]
 
 
-def _undominated(vectors: Sequence[tuple[Value, ...]]) -> list[tuple[Value, ...]]:
-    """Pareto-maximal elements of a set of utility vectors.
+def _undominated(vectors: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Pareto-maximal elements of a set of integer vectors.
 
     A vector is dropped when another one is at least as large everywhere and
     strictly larger somewhere. Equal vectors do not dominate each other, so
-    the result is deduplicated but keeps every maximal value.
+    the result is deduplicated but keeps every maximal value, in descending
+    order of (sum, vector).
+
+    The filter works on bitsets. Every distinct vector owns one bit. For
+    each coordinate, the vectors are grouped by their value there, and the
+    group masks are ORed in descending value order, so each value maps to
+    the mask of vectors at least that large on the coordinate. ANDing a
+    vector's masks over all coordinates leaves the vectors weakly above it
+    everywhere; it is maximal exactly when that is its own bit alone. N
+    distinct vectors of length n cost O(N * n) operations on N-bit ints.
     """
     distinct = sorted(set(vectors), key=lambda v: (sum(v), v), reverse=True)
-    keep: list[tuple[Value, ...]] = []
-    for v in distinct:
-        dominated = False
-        for w in keep:
-            # keep is sorted by descending sum, so w != v implies a strict
-            # coordinate whenever w >= v everywhere
-            if all(a >= b for a, b in zip(w, v)):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(v)
-    return keep
+    above = [-1] * len(distinct)
+    for column in zip(*distinct):
+        at_least: dict[int, int] = {}
+        for idx, x in enumerate(column):
+            at_least[x] = at_least.get(x, 0) | (1 << idx)
+        mask = 0
+        for x in sorted(at_least, reverse=True):
+            mask |= at_least[x]
+            at_least[x] = mask
+        for idx, x in enumerate(column):
+            above[idx] &= at_least[x]
+    return [v for idx, v in enumerate(distinct) if above[idx] == 1 << idx]
 
 
 def pareto_levels(bids: BidProfile, positives: tuple[tuple[int, ...], ...],
@@ -173,10 +183,17 @@ def pareto_levels(bids: BidProfile, positives: tuple[tuple[int, ...], ...],
     items can still be assigned without ever leaving the maximal set. A
     maximal prefix vector can lack any maximal extension, so the second
     family is what a rule must stay inside to never get stuck.
+
+    The bid matrix is first multiplied by the lcm of its denominators, so
+    every level is built and filtered on int tuples; dominance and the
+    look-ahead are unchanged by a positive scale. Both families come back
+    in bid units, each level in descending order of (sum, vector).
     """
     n, m = bids.n, bids.m
-    levels: list[list[tuple[Value, ...]]] = []
-    level: list[tuple[Value, ...]] = [tuple([0] * n)]
+    scale = math.lcm(*(b.denominator for row in bids.bids for b in row))
+    scaled = [[b.numerator * (scale // b.denominator) for b in row] for row in bids.bids]
+    levels: list[list[tuple[int, ...]]] = []
+    level: list[tuple[int, ...]] = [tuple([0] * n)]
     for j in range(m):
         pos = positives[j]
         if pos:
@@ -184,7 +201,7 @@ def pareto_levels(bids: BidProfile, positives: tuple[tuple[int, ...], ...],
             for v in level:
                 for i in pos:
                     w = list(v)
-                    w[i] += bids.bid(i, j)
+                    w[i] += scaled[i][j]
                     grown.append(tuple(w))
             level = _undominated(grown)
         levels.append(level)
@@ -201,11 +218,15 @@ def pareto_levels(bids: BidProfile, positives: tuple[tuple[int, ...], ...],
                     continue
                 for i in pos:
                     w = list(v)
-                    w[i] += bids.bid(i, j)
+                    w[i] += scaled[i][j]
                     if tuple(w) in viable[j]:
                         keep.add(v)
                         break
             viable[j - 1] = frozenset(keep)
+    if scale != 1:
+        unit = {v: tuple(as_value(Fraction(x, scale)) for x in v) for lv in levels for v in lv}
+        levels = [[unit[v] for v in lv] for lv in levels]
+        viable = [frozenset(unit[v] for v in vs) for vs in viable]
     return tuple(tuple(lv) for lv in levels), tuple(viable)
 
 
@@ -242,28 +263,6 @@ class ParetoLikeRule(FeasibilityRule):
             if tuple(ext) in viable[item]:
                 out.append(i)
         return tuple(out)
-
-
-def osd_rule(order: PriorityOrder | Sequence[int]) -> FeasibilityRule:
-    if not isinstance(order, PriorityOrder):
-        order = PriorityOrder(tuple(order))
-    return OsdRule(order)
-
-
-def like_rule() -> FeasibilityRule:
-    return LikeRule()
-
-
-def balanced_like_rule() -> FeasibilityRule:
-    return BalancedLikeRule()
-
-
-def maximum_like_rule() -> FeasibilityRule:
-    return MaximumLikeRule()
-
-
-def pareto_like_rule() -> FeasibilityRule:
-    return ParetoLikeRule()
 
 
 def _positive_bidders(bids: BidProfile) -> tuple[tuple[int, ...], ...]:

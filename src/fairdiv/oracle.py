@@ -77,13 +77,17 @@ def enumerate_allocations(instance: Instance, bids: Optional[BidProfile] = None,
     return allocs
 
 
+def dominates(va: Sequence[Value], vb: Sequence[Value]) -> bool:
+    """True when utility vector ``va`` is at least ``vb`` everywhere and
+    strictly larger somewhere."""
+    return va != vb and all(x >= y for x, y in zip(va, vb))
+
+
 def pareto_dominates(a: Allocation, b: Allocation,
                      values: Sequence[Sequence[Value]]) -> bool:
     """True when ``a`` is at least as good as ``b`` for everyone and strictly
     better for someone, measured by ``values``."""
-    va = utility_vector(a, values)
-    vb = utility_vector(b, values)
-    return va != vb and all(x >= y for x, y in zip(va, vb))
+    return dominates(utility_vector(a, values), utility_vector(b, values))
 
 
 def is_pep(alloc: Allocation, instance: Instance, bids: Optional[BidProfile] = None, *,
@@ -100,8 +104,7 @@ def is_pep(alloc: Allocation, instance: Instance, bids: Optional[BidProfile] = N
         values = instance.utilities
     target = utility_vector(alloc, values)
     for other in enumerate_allocations(instance, bids, max_nodes=max_nodes):
-        vo = utility_vector(other, values)
-        if vo != target and all(x >= y for x, y in zip(vo, target)):
+        if dominates(utility_vector(other, values), target):
             return False
     return True
 

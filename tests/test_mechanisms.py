@@ -1,6 +1,8 @@
 """Engine and feasibility rules against hand-computed distributions."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -8,12 +10,14 @@ from fairdiv import (
     Allocation,
     AllocationDistribution,
     BidProfile,
+    DomainSpec,
     Instance,
     PriorityOrder,
     RuleInvariantError,
     WorkBoundExceeded,
     allocate,
     balanced_like,
+    generate,
     get_mechanism,
     like,
     marginals,
@@ -25,7 +29,7 @@ from fairdiv import (
     pareto_levels,
     pareto_like,
 )
-from fairdiv.mechanisms import FeasibilityRule, _positive_bidders
+from fairdiv.mechanisms import FeasibilityRule, _positive_bidders, _undominated
 
 SWAP = Instance(((1, 2), (2, 1)))
 CLOSE = Instance(((1, 4), (2, 3)))
@@ -207,6 +211,101 @@ def test_pareto_levels_prune_unreachable_maximal_vectors():
     assert (18, 4) in levels[1]
     assert (18, 4) not in viable[1]
     assert set(viable[2]) == set(levels[2])
+
+
+def _brute_levels(bids):
+    """Maximal prefix bid vectors and their viable subsets, by enumeration.
+
+    Every non-wasteful assignment of each prefix is listed and compared
+    pairwise; a prefix vector is viable when some full assignment through
+    it stays maximal at every prefix.
+    """
+    pos = [[i for i in range(bids.n) if bids.bid(i, j) > 0] or [None]
+           for j in range(bids.m)]
+
+    def vector(owners):
+        acc = [0] * bids.n
+        for j, i in enumerate(owners):
+            if i is not None:
+                acc[i] += bids.bid(i, j)
+        return tuple(acc)
+
+    levels = []
+    for j in range(1, bids.m + 1):
+        vecs = {vector(owners) for owners in product(*pos[:j])}
+        levels.append({v for v in vecs
+                       if not any(w != v and all(a >= b for a, b in zip(w, v)) for w in vecs)})
+    viable = [set() for _ in range(bids.m)]
+    for owners in product(*pos):
+        path = [vector(owners[:j + 1]) for j in range(bids.m)]
+        if all(v in lv for v, lv in zip(path, levels)):
+            for v, vs in zip(path, viable):
+                vs.add(v)
+    return levels, viable
+
+
+def _assert_levels_match(bids):
+    levels, viable = pareto_levels(bids, _positive_bidders(bids))
+    brute_levels, brute_viable = _brute_levels(bids)
+    assert [set(lv) for lv in levels] == brute_levels, bids
+    assert [set(vs) for vs in viable] == brute_viable, bids
+    for lv, vs in zip(levels, viable):
+        assert len(set(lv)) == len(lv)
+        assert vs <= set(lv)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 3)])
+def test_pareto_levels_match_brute_force_on_exhaustive_grids(n, m):
+    for flat in product(range(4), repeat=n * m):
+        _assert_levels_match(BidProfile(tuple(
+            tuple(flat[i * m:(i + 1) * m]) for i in range(n))))
+
+
+def test_pareto_levels_match_brute_force_on_fractional_bids():
+    rng = random.Random(20200629)
+    for _ in range(150):
+        n, m = rng.randint(2, 4), rng.randint(1, 4)
+        rows = [[Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(m)]
+                for _ in range(n)]
+        for j in range(m):
+            if rng.random() < 0.2:
+                for row in rows:
+                    row[j] = 0
+        _assert_levels_match(BidProfile(tuple(tuple(r) for r in rows)))
+
+
+def test_pareto_levels_return_bid_units_in_descending_order():
+    bids = BidProfile(((Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 3), 1)))
+    levels, viable = pareto_levels(bids, _positive_bidders(bids))
+    assert levels[0] == ((Fraction(1, 2), 0), (0, Fraction(1, 3)))
+    assert levels[1] == ((Fraction(1, 2), 1), (0, Fraction(4, 3)), (Fraction(5, 6), 0))
+    assert viable[1] == frozenset(levels[1])
+
+
+def test_undominated_edge_cases():
+    assert _undominated([]) == []
+    assert _undominated([(2, 5)]) == [(2, 5)]
+    # duplicates collapse, and equal vectors do not knock each other out
+    assert _undominated([(1, 2), (2, 1), (1, 2), (2, 1)]) == [(2, 1), (1, 2)]
+    # equal sums are incomparable; only the strictly smaller vector goes
+    assert _undominated([(0, 3), (3, 0), (1, 2), (1, 1)]) == [(3, 0), (1, 2), (0, 3)]
+    assert _undominated([(1, 1, 1), (1, 1, 0), (0, 1, 1), (2, 0, 0)]) == [(1, 1, 1), (2, 0, 0)]
+
+
+def test_undominated_drops_nothing_on_identical_utilities():
+    # every allocation of identical utilities has the same total, so all
+    # its vectors are maximal
+    vectors = [v for v in product(range(5), repeat=3) if sum(v) == 4]
+    kept = _undominated(vectors)
+    assert sorted(kept) == sorted(vectors)
+    assert kept == sorted(vectors, reverse=True)
+
+
+def test_pareto_like_equals_like_on_a_big_identical_instance():
+    inst = generate(DomainSpec("identical-cardinal", 4, 6, seed=3))
+    dist = pareto_like().run(inst)
+    assert dist.entries == like().run(inst).entries
+    assert len(dist.entries) == 4 ** 6
 
 
 def test_pareto_like_survives_dead_ends_and_matches_the_frontier():
