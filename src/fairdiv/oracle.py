@@ -3,9 +3,10 @@
 Everything here is deliberately brute force. Allocations are enumerated
 item by item, Pareto comparisons are pairwise over full utility vectors,
 and the question "can any lottery over allocations beat this expected
-utility point" is decided by a small simplex over Fractions. These are the
-oracles that the mechanism engine and the axiom checkers are audited
-against, so they share no shortcuts with them.
+utility point" is decided by a small exact simplex over an integer
+(fraction-free) tableau. These are the oracles that the mechanism engine
+and the axiom checkers are audited against, so they share no shortcuts
+with them.
 
 Dominance can be judged under two different matrices: the bids (the
 mechanism's view of the world) or the utilities (the auditor's view). The
@@ -15,6 +16,7 @@ utilities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -145,123 +147,165 @@ class LPSolution:
     gains: tuple[Fraction, ...]
 
 
-def _simplex_maximize(c: Sequence[Fraction],
-                      constraints: Sequence[tuple[Sequence[Fraction], str, Fraction]],
+_FLIP = {"<=": ">=", ">=": "<=", "==": "=="}
+
+
+def _eliminate(row: list[int], pivot_row: list[int], a: int, f: int, d: int) -> list[int]:
+    """One fraction-free row update, ``(a*row - f*pivot_row) / d``.
+
+    The division is exact whenever the tableau invariant of
+    ``_simplex_maximize`` holds.
+    """
+    return [(a * x - f * y) // d for x, y in zip(row, pivot_row)]
+
+
+def _simplex_maximize(c: Sequence[Value],
+                      constraints: Sequence[tuple[Sequence[Value], str, Value]],
                       ) -> tuple[Fraction, list[Fraction]]:
     """Maximize c.x subject to rows (coeffs, rel, rhs) and x >= 0.
 
-    rel is one of '<=', '>=', '=='. Exact two-phase simplex with Bland's
-    rule, so the run is deterministic and cannot cycle. Raises
-    InfeasibleError or UnboundedError accordingly.
+    rel is one of '<=', '>=', '=='; every number is an int or a Fraction.
+    Exact two-phase simplex with Bland's rule, so the run is deterministic
+    and cannot cycle. Raises InfeasibleError or UnboundedError accordingly.
+
+    The tableau is fraction-free (Bareiss's integer-preserving elimination,
+    as in Edmonds' integer simplex): it holds ints ``T`` and one common
+    denominator ``d > 0``, and the real tableau is ``T / d``. Each row,
+    after a negative right-hand side is flipped, is multiplied once by the
+    lcm ``s`` of its denominators; its slack and artificial keep
+    coefficient +-1, which amounts to measuring them in units of ``1/s``.
+    The phase-1 weight of each artificial is therefore ``-(L // s)``, with
+    ``L`` the lcm of those scales: the same objective, times ``L``.
+
+    Invariant: ``d = |det B|`` for the current basis columns ``B`` of the
+    initial integer tableau ``A`` (``B`` starts as the identity), so
+    ``T = d * B^-1 A = +-adj(B) A`` is an integer matrix. Pivoting on
+    ``a = T[r][col] > 0`` keeps row r and replaces every other row i by
+    ``(a*T[i] - T[i][col]*T[r]) / d``. That is the real update times
+    ``a``, and ``a = |det B'|`` for the new basis ``B'`` (its determinant
+    is ``det B`` times the real pivot ``a / d``), so by the invariant for
+    ``B'`` the division is exact, and ``d`` becomes ``a``. A pivot on a
+    negative entry happens only when a zero-level artificial is driven
+    out; the row is negated first (its rhs is 0), which equals pivoting on
+    the negative entry and then negating the whole tableau, so exactness
+    is kept.
+
+    Reduced costs are compared through ``obj[j]*d - sum(obj[basis[i]] *
+    T[i][j])`` and ratios by cross-multiplication. Positive row and column
+    scales change neither those signs nor the order of the ratios, so
+    Bland's rule picks exactly the pivots of the same simplex run on
+    Fractions. Fractions are built only for the returned point.
     """
     nv = len(c)
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     rels: list[str] = []
+    scales: list[int] = []
     for coeffs, rel, rhs in constraints:
         if len(coeffs) != nv:
             raise ValueError("constraint width differs from objective")
-        row = [Fraction(x) for x in coeffs]
-        b = Fraction(rhs)
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-            rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-        rows.append(row + [b])
+        if rel not in _FLIP:
+            raise ValueError(f"unknown relation {rel!r}")
+        entries = [*coeffs, rhs]
+        if rhs < 0:
+            entries = [-x for x in entries]
+            rel = _FLIP[rel]
+        s = math.lcm(*(x.denominator for x in entries))
+        rows.append([x.numerator * (s // x.denominator) for x in entries])
         rels.append(rel)
+        scales.append(s)
 
     nrows = len(rows)
     # column layout: [original vars][one slack or surplus per inequality][artificials]
-    n_slack = sum(1 for r in rels if r != "==")
-    slack_of: dict[int, int] = {}
-    k = 0
-    for i, r in enumerate(rels):
-        if r != "==":
-            slack_of[i] = nv + k
-            k += 1
-    art_of: dict[int, int] = {}
-    k = 0
-    for i, r in enumerate(rels):
-        if r in ("==", ">="):
-            art_of[i] = nv + n_slack + k
-            k += 1
-    ncols = nv + n_slack + len(art_of)
+    slack_rows = [i for i, r in enumerate(rels) if r != "=="]
+    art_rows = [i for i, r in enumerate(rels) if r != "<="]
+    n_slack = len(slack_rows)
+    slack_of = {i: nv + k for k, i in enumerate(slack_rows)}
+    art_of = {i: nv + n_slack + k for k, i in enumerate(art_rows)}
+    ncols = nv + n_slack + len(art_rows)
 
-    tab: list[list[Fraction]] = []
+    tab: list[list[int]] = []
     basis: list[int] = []
     for i, row in enumerate(rows):
-        full = row[:-1] + [Fraction(0)] * (ncols - nv) + [row[-1]]
+        full = row[:-1] + [0] * (ncols - nv) + row[-1:]
         if i in slack_of:
-            full[slack_of[i]] = Fraction(1) if rels[i] == "<=" else Fraction(-1)
+            full[slack_of[i]] = 1 if rels[i] == "<=" else -1
         if i in art_of:
-            full[art_of[i]] = Fraction(1)
+            full[art_of[i]] = 1
             basis.append(art_of[i])
         else:
             basis.append(slack_of[i])
         tab.append(full)
+    d = 1
 
     def pivot(r: int, col: int) -> None:
-        piv = tab[r][col]
-        tab[r] = [x / piv for x in tab[r]]
+        nonlocal d
+        if tab[r][col] < 0:
+            tab[r] = [-x for x in tab[r]]
+        prow = tab[r]
+        a = prow[col]
         for i in range(nrows):
-            if i != r and tab[i][col]:
-                f = tab[i][col]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[r])]
+            if i != r:
+                tab[i] = _eliminate(tab[i], prow, a, tab[i][col], d)
+        d = a
         basis[r] = col
 
-    def run(obj: list[Fraction], live: int) -> None:
+    def run(obj: list[int], live: int) -> None:
         # Bland's rule: smallest eligible entering column, then the leaving
         # row with the smallest ratio, ties broken by smallest basis index.
         while True:
-            lam = [obj[basis[i]] for i in range(nrows)]
+            priced = [(obj[basis[i]], tab[i]) for i in range(nrows) if obj[basis[i]]]
             enter = -1
             for j in range(live):
-                rc = obj[j]
-                for i in range(nrows):
-                    if tab[i][j]:
-                        rc -= lam[i] * tab[i][j]
+                rc = obj[j] * d
+                for lam, row in priced:
+                    rc -= lam * row[j]
                 if rc > 0:
                     enter = j
                     break
             if enter < 0:
                 return
             leave = -1
-            best: Optional[Fraction] = None
             for i in range(nrows):
                 a = tab[i][enter]
                 if a > 0:
-                    t = tab[i][-1] / a
-                    if best is None or t < best or (t == best and basis[i] < basis[leave]):
-                        best = t
+                    if leave < 0:
+                        leave = i
+                        continue
+                    t = tab[i][-1] * tab[leave][enter]
+                    best = tab[leave][-1] * a
+                    if t < best or (t == best and basis[i] < basis[leave]):
                         leave = i
             if leave < 0:
                 raise UnboundedError("objective is unbounded above")
             pivot(leave, enter)
 
+    live = nv + n_slack
     if art_of:
-        phase1 = [Fraction(0)] * ncols
-        for col in art_of.values():
-            phase1[col] = Fraction(-1)
+        weight = math.lcm(*(scales[i] for i in art_rows))
+        phase1 = [0] * ncols
+        for i, col in art_of.items():
+            phase1[col] = -(weight // scales[i])
         run(phase1, ncols)
         art_cols = set(art_of.values())
-        residue = sum(tab[i][-1] for i in range(nrows) if basis[i] in art_cols)
-        if residue != 0:
+        if any(tab[i][-1] for i in range(nrows) if basis[i] in art_cols):
             raise InfeasibleError("no feasible point")
         # drive leftover zero-level artificials out of the basis
         for i in range(nrows):
             if basis[i] in art_cols:
-                for j in range(nv + n_slack):
+                for j in range(live):
                     if tab[i][j]:
                         pivot(i, j)
                         break
+        # artificial columns are dead in phase 2
+        tab[:] = [row[:live] + row[-1:] for row in tab]
 
-    obj2 = [Fraction(x) for x in c] + [Fraction(0)] * (ncols - nv)
-    live = nv + n_slack  # artificial columns are dead in phase 2
-    run(obj2, live)
+    cs = math.lcm(*(x.denominator for x in c))
+    run([x.numerator * (cs // x.denominator) for x in c] + [0] * (ncols - nv), live)
 
     x = [Fraction(0)] * nv
     for i in range(nrows):
         if basis[i] < nv:
-            x[basis[i]] = tab[i][-1]
+            x[basis[i]] = Fraction(tab[i][-1], d)
     value = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
     return value, x
 
@@ -292,13 +336,13 @@ def pea_solution(own_expected: Sequence[Value], instance: Instance,
     vectors = list(groups)
     g = len(vectors)
 
-    c = [Fraction(0)] * g + [Fraction(1)] * n
-    constraints: list[tuple[list[Fraction], str, Fraction]] = []
+    c = [0] * g + [1] * n
+    constraints: list[tuple[list[Value], str, Value]] = []
     for i in range(n):
-        row = [Fraction(vec[i]) for vec in vectors]
-        row += [Fraction(-1) if k == i else Fraction(0) for k in range(n)]
-        constraints.append((row, ">=", Fraction(point[i])))
-    constraints.append(([Fraction(1)] * g + [Fraction(0)] * n, "==", Fraction(1)))
+        row = [vec[i] for vec in vectors]
+        row += [-1 if k == i else 0 for k in range(n)]
+        constraints.append((row, ">=", point[i]))
+    constraints.append(([1] * g + [0] * n, "==", 1))
 
     value, x = _simplex_maximize(c, constraints)
     weights = tuple(
