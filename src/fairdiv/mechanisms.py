@@ -159,8 +159,6 @@ def _undominated(vectors: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
     distinct vectors of length n cost O(N * n) operations on N-bit ints.
     """
     distinct = sorted(set(vectors), key=lambda v: (sum(v), v), reverse=True)
-    if len(distinct) <= 1:
-        return distinct
     above = [-1] * len(distinct)
     for column in zip(*distinct):
         at_least: dict[int, int] = {}
@@ -193,8 +191,7 @@ def pareto_levels(bids: BidProfile, positives: tuple[tuple[int, ...], ...],
     """
     n, m = bids.n, bids.m
     scale = math.lcm(*(b.denominator for row in bids.bids for b in row))
-    scaled = bids.bids if scale == 1 else [
-        [b.numerator * (scale // b.denominator) for b in row] for row in bids.bids]
+    scaled = [[b.numerator * (scale // b.denominator) for b in row] for row in bids.bids]
     levels: list[list[tuple[int, ...]]] = []
     level: list[tuple[int, ...]] = [tuple([0] * n)]
     for j in range(m):

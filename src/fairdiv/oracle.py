@@ -203,8 +203,6 @@ def _simplex_maximize(c: Sequence[Value],
     for coeffs, rel, rhs in constraints:
         if len(coeffs) != nv:
             raise ValueError("constraint width differs from objective")
-        if rel not in _FLIP:
-            raise ValueError(f"unknown relation {rel!r}")
         entries = [*coeffs, rhs]
         if rhs < 0:
             entries = [-x for x in entries]
