@@ -12,6 +12,7 @@ so suites can be reproduced byte for byte.
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from .core import (
     as_value,
     format_value,
 )
-from .mechanisms import Mechanism, like, maximum_like
+from .mechanisms import ItemCounts, Mechanism, like, maximum_like
 
 DOMAIN_NAMES = (
     "general",
@@ -263,18 +264,42 @@ class ConstructedMechanism:
             if len(mat) != dist.n or len(mat[0]) != dist.m:
                 raise ValueError("override distribution shape differs from its bid matrix")
 
-    def run(self, instance: Instance, bids: Optional[BidProfile] = None, *,
-            max_nodes: Optional[int] = None) -> AllocationDistribution:
+    def _override(self, instance: Instance, bids: Optional[BidProfile],
+                  ) -> tuple[BidProfile, Optional[AllocationDistribution]]:
+        """The checked bids, and the override distribution they select."""
         if bids is None:
             bids = BidProfile.sincere(instance)
         if not bids.matches(instance):
             raise ValueError("bid profile shape differs from instance")
         for mat, dist in self.overrides:
             if bids.bids == mat:
-                # rebind to the caller's instance; the outcome depends on
-                # the observed bids only
-                return AllocationDistribution.from_map(instance, dist.as_dict())
+                return bids, dist
+        return bids, None
+
+    def run(self, instance: Instance, bids: Optional[BidProfile] = None, *,
+            max_nodes: Optional[int] = None) -> AllocationDistribution:
+        bids, dist = self._override(instance, bids)
+        if dist is not None:
+            # rebind to the caller's instance; the outcome depends on
+            # the observed bids only
+            return AllocationDistribution.from_map(instance, dist.as_dict())
         return self.base.run(instance, bids, max_nodes=max_nodes)
+
+    def item_counts(self, instance: Instance, bids: Optional[BidProfile] = None, *,
+                    max_nodes: Optional[int] = None) -> tuple[ItemCounts, int]:
+        """Integer item marginals (counts, L) of `run`'s distribution, as
+        `Mechanism.item_counts` gives them; L is the lcm of an override's
+        probability denominators."""
+        bids, dist = self._override(instance, bids)
+        if dist is None:
+            return self.base.item_counts(instance, bids, max_nodes=max_nodes)
+        scale = math.lcm(*(p.denominator for _, p in dist))
+        counts = [[0] * instance.m for _ in range(instance.n)]
+        for alloc, p in dist:
+            for j, i in enumerate(alloc.owners):
+                if i is not None:
+                    counts[i][j] += p.numerator * (scale // p.denominator)
+        return counts, scale
 
 
 def _exact_rows(rows: Sequence[Sequence[object]]) -> tuple[tuple[Value, ...], ...]:

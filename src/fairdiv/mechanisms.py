@@ -17,6 +17,17 @@ Rules differ only in how the feasible set is computed:
                  and still completable to an efficient full allocation
 
 orp is the uniform mixture of osd over all priority orders.
+
+The engine, `_expand`, is one forward pass over the items. Each layer maps
+a node, an owner prefix plus the rule's state key, to an int weight over
+one common scale L = prod_j lcm(1..branch width of item j), so every
+uniform split is an exact integer division and probabilities become
+Fractions only in what `allocate` returns. The state key is what a rule's later feasible
+sets depend on: `()` for osd, like and maximum-like, the bundle sizes for
+balanced-like, the bid totals for pareto-like. `allocate` keeps every owner
+prefix and turns the last layer into a distribution. `Mechanism.item_counts`
+drops the owners, so nodes with equal keys merge, and returns only the
+integer item marginals over L; the deviation searches need nothing more.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Callable, Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence
 
 from .core import (
     DEFAULT_MAX_NODES,
@@ -53,24 +64,37 @@ class RuleInvariantError(FairDivError):
 
 
 class FeasibilityRule:
-    """Per-item feasible-set policy driving `allocate`.
+    """Per-item feasible-set policy driving the expansion engine.
 
     `begin` runs once per mechanism run and may precompute state from the
-    bids; `feasible` is called at every tree node. `sizes` counts the items
-    each agent holds on the current branch (discarded items count for
-    nobody); `totals` is each agent's bid value for their current branch
-    bundle and is only maintained when `uses_totals` is set.
+    bids. Along each branch the engine carries a state key: it starts at
+    `start(n)`, `advance` updates it after every assignment, and
+    `feasible(state, item, key)` reads it. The key holds exactly what the
+    rule's future feasible sets depend on beyond the bids: nothing (`()`)
+    for osd, like and maximum-like, the bundle sizes for balanced-like
+    (discarded items count for nobody), and each agent's bid total for their
+    bundle for pareto-like. Branches with equal keys therefore continue
+    identically, which is what lets the marginals-only pass merge them.
+
+    `branch_width` bounds the size of the item's feasible set on every
+    branch. The engine's work bound multiplies it over the items, and its
+    weight scale L holds lcm(1..width) for each item, so every uniform split
+    of a weight is exact.
     """
 
     name = "?"
-    uses_totals = False
 
     def begin(self, instance: Instance, bids: BidProfile,
               positives: tuple[tuple[int, ...], ...]) -> object:
         return positives
 
-    def feasible(self, state: object, item: int, sizes: Sequence[int],
-                 totals: Optional[Sequence[Value]]) -> tuple[int, ...]:
+    def start(self, n: int) -> Hashable:
+        return ()
+
+    def advance(self, state: object, key: Hashable, agent: int, item: int) -> Hashable:
+        return key
+
+    def feasible(self, state: object, item: int, key: Hashable) -> tuple[int, ...]:
         raise NotImplementedError
 
     def branch_width(self, positives: tuple[tuple[int, ...], ...], item: int) -> int:
@@ -96,7 +120,7 @@ class OsdRule(FeasibilityRule):
             first.append(pick)
         return tuple(first)
 
-    def feasible(self, state, item, sizes, totals):
+    def feasible(self, state, item, key):
         return state[item]
 
     def branch_width(self, positives, item):
@@ -108,21 +132,32 @@ class LikeRule(FeasibilityRule):
 
     name = "like"
 
-    def feasible(self, state, item, sizes, totals):
+    def feasible(self, state, item, key):
         return state[item]
 
 
 class BalancedLikeRule(FeasibilityRule):
-    """Positive bidders currently holding the fewest items are feasible."""
+    """Positive bidders currently holding the fewest items are feasible.
+
+    The key is the tuple of bundle sizes.
+    """
 
     name = "balanced-like"
 
-    def feasible(self, state, item, sizes, totals):
+    def start(self, n):
+        return (0,) * n
+
+    def advance(self, state, key, agent, item):
+        sizes = list(key)
+        sizes[agent] += 1
+        return tuple(sizes)
+
+    def feasible(self, state, item, key):
         pos = state[item]
         if not pos:
             return ()
-        lightest = min(sizes[i] for i in pos)
-        return tuple(i for i in pos if sizes[i] == lightest)
+        lightest = min(key[i] for i in pos)
+        return tuple(i for i in pos if key[i] == lightest)
 
 
 class MaximumLikeRule(FeasibilityRule):
@@ -138,7 +173,7 @@ class MaximumLikeRule(FeasibilityRule):
             tops.append(tuple(i for i, v in enumerate(col) if v == best) if best > 0 else ())
         return tuple(tops)
 
-    def feasible(self, state, item, sizes, totals):
+    def feasible(self, state, item, key):
         return state[item]
 
 
@@ -242,23 +277,32 @@ class ParetoLikeRule(FeasibilityRule):
     probability mass on item sequences nobody can finish efficiently.
     Every efficient complete allocation passes both conditions at every
     step, so exactly the efficient allocations are returned.
+
+    The key is the vector of each agent's bid total for their bundle.
     """
 
     name = "pareto-like"
-    uses_totals = True
 
     def begin(self, instance, bids, positives):
         _, viable = pareto_levels(bids, positives)
         return positives, viable, bids
 
-    def feasible(self, state, item, sizes, totals):
+    def start(self, n):
+        return (0,) * n
+
+    def advance(self, state, key, agent, item):
+        totals = list(key)
+        totals[agent] += state[2].bid(agent, item)
+        return tuple(totals)
+
+    def feasible(self, state, item, key):
         positives, viable, bids = state
         pos = positives[item]
         if not pos:
             return ()
         out = []
         for i in pos:
-            ext = list(totals)
+            ext = list(key)
             ext[i] += bids.bid(i, item)
             if tuple(ext) in viable[item]:
                 out.append(i)
@@ -271,88 +315,116 @@ def _positive_bidders(bids: BidProfile) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _checked_bids(instance: Instance, bids: Optional[BidProfile]) -> BidProfile:
+    if bids is None:
+        return BidProfile.sincere(instance)
+    if not bids.matches(instance):
+        raise ValueError("bid profile shape differs from instance")
+    return bids
+
+
+#: ``counts[i][j]``: agent i's share of item j, in units of a common scale
+ItemCounts = list[list[int]]
+
+
+def _share(weight: int, ways: int) -> int:
+    """Each branch's weight when ``weight`` splits uniformly ``ways`` ways.
+
+    Exact because the engine's scale holds lcm(1..width) of every item.
+    """
+    return weight // ways
+
+
+def _expand(rule: FeasibilityRule, instance: Instance, bids: BidProfile,
+            max_nodes: Optional[int], keep_owners: bool,
+            ) -> tuple[dict[tuple[tuple, Hashable], int], Optional[ItemCounts], int]:
+    """The expansion engine: one forward pass over the items, layer by layer.
+
+    A layer maps ``(owners, key)`` to an int weight over the common scale
+    L = prod_j lcm(1..rule.branch_width(positives, j)); the root has weight
+    L. At item j every node splits its weight uniformly over the rule's
+    feasible set, or passes it on when the item is discarded. Dividing by
+    the feasible-set size is exact, since the weight still holds every
+    lcm factor of items j onward.
+
+    With ``keep_owners`` every node keeps its owner prefix, so no two
+    nodes merge and the last layer lists every allocation once. Without
+    it the owners stay ``()``, nodes with equal keys merge, and each share
+    is added into ``counts[i][j]``; the returned counts are None otherwise.
+    Returns (last layer, counts, L). Raises WorkBoundExceeded before any
+    work when the product of branch widths, a bound on the tree's leaves,
+    exceeds ``max_nodes``.
+    """
+    bound = DEFAULT_MAX_NODES if max_nodes is None else max_nodes
+    n, m = instance.n, instance.m
+    positives = _positive_bidders(bids)
+    leaves = scale = 1
+    for j in range(m):
+        width = rule.branch_width(positives, j)
+        leaves *= width
+        if leaves > bound:
+            raise WorkBoundExceeded(
+                f"{rule.name}: expansion tree may exceed {bound} leaves"
+            )
+        scale *= math.lcm(*range(1, width + 1))
+    state = rule.begin(instance, bids, positives)
+    counts = None if keep_owners else [[0] * m for _ in range(n)]
+    layer: dict[tuple[tuple, Hashable], int] = {((), rule.start(n)): scale}
+    for j in range(m):
+        assigned = bool(positives[j])
+        grown: dict[tuple[tuple, Hashable], int] = {}
+        for (owners, key), weight in layer.items():
+            feas = rule.feasible(state, j, key)
+            if not feas:
+                if assigned:
+                    raise RuleInvariantError(
+                        f"{rule.name}: no feasible agent for item {j + 1} despite positive bids"
+                    )
+                node = (owners + (None,) if keep_owners else (), key)
+                grown[node] = grown.get(node, 0) + weight
+                continue
+            if not assigned:
+                raise RuleInvariantError(
+                    f"{rule.name}: item {j + 1} has no positive bid but was assigned"
+                )
+            share = _share(weight, len(feas))
+            for i in feas:
+                node = (owners + (i,) if keep_owners else (), rule.advance(state, key, i, j))
+                grown[node] = grown.get(node, 0) + share
+                if counts is not None:
+                    counts[i][j] += share
+        layer = grown
+    return layer, counts, scale
+
+
 def allocate(rule: FeasibilityRule, instance: Instance,
              bids: Optional[BidProfile] = None, *,
              max_nodes: Optional[int] = None) -> AllocationDistribution:
     """Run one rule over the whole horizon and expand every random choice.
 
-    Returns the exact distribution over complete allocations. Each node
-    splits probability uniformly over the feasible set; distinct leaves are
-    distinct allocations, so the support needs no merging. Raises
-    WorkBoundExceeded when the expansion tree could exceed ``max_nodes``
-    leaves.
+    Returns the exact distribution over complete allocations: the engine's
+    layered pass keeps every owner prefix, so each node of its last layer
+    is one allocation, and its probability is the node's integer weight
+    over the scale L. Raises WorkBoundExceeded when the expansion tree
+    could exceed ``max_nodes`` leaves.
     """
-    if bids is None:
-        bids = BidProfile.sincere(instance)
-    if not bids.matches(instance):
-        raise ValueError("bid profile shape differs from instance")
-    bound = DEFAULT_MAX_NODES if max_nodes is None else max_nodes
-    positives = _positive_bidders(bids)
-    width = 1
-    for j in range(instance.m):
-        width *= rule.branch_width(positives, j)
-        if width > bound:
-            raise WorkBoundExceeded(
-                f"{rule.name}: expansion tree may exceed {bound} leaves"
-            )
-    state = rule.begin(instance, bids, positives)
-    n, m = instance.n, instance.m
-    owners: list[Optional[int]] = [None] * m
-    sizes = [0] * n
-    totals: Optional[list[Value]] = [0] * n if rule.uses_totals else None
-    support: dict[Allocation, Fraction] = {}
-
-    def walk(j: int, den: int) -> None:
-        if j == m:
-            alloc = Allocation(tuple(owners))
-            support[alloc] = support.get(alloc, Fraction(0)) + Fraction(1, den)
-            return
-        feas = rule.feasible(state, j, sizes, totals)
-        if not feas:
-            if positives[j]:
-                raise RuleInvariantError(
-                    f"{rule.name}: no feasible agent for item {j + 1} despite positive bids"
-                )
-            owners[j] = None
-            walk(j + 1, den)
-            return
-        if not positives[j]:
-            raise RuleInvariantError(
-                f"{rule.name}: item {j + 1} has no positive bid but was assigned"
-            )
-        k = len(feas)
-        for i in feas:
-            owners[j] = i
-            sizes[i] += 1
-            if totals is not None:
-                totals[i] += bids.bid(i, j)
-            walk(j + 1, den * k)
-            if totals is not None:
-                totals[i] -= bids.bid(i, j)
-            sizes[i] -= 1
-        owners[j] = None
-
-    walk(0, 1)
-    return AllocationDistribution.from_map(instance, support)
+    bids = _checked_bids(instance, bids)
+    layer, _, scale = _expand(rule, instance, bids, max_nodes, keep_owners=True)
+    return AllocationDistribution.from_map(
+        instance, {Allocation(owners): Fraction(w, scale) for (owners, _), w in layer.items()}
+    )
 
 
-def orp_distribution(instance: Instance, bids: Optional[BidProfile] = None, *,
-                     max_nodes: Optional[int] = None) -> AllocationDistribution:
-    """Uniform mixture of serial dictatorships over all priority orders.
-
-    Exact by construction: every one of the n! orders is run and the
-    deterministic outcomes are merged with weight 1/n!.
-    """
-    if bids is None:
-        bids = BidProfile.sincere(instance)
-    if not bids.matches(instance):
-        raise ValueError("bid profile shape differs from instance")
+def _orp_outcomes(instance: Instance, bids: Optional[BidProfile],
+                  max_nodes: Optional[int]) -> tuple[dict[tuple, int], int]:
+    """How many of the n! priority orders lead to each allocation, and n!."""
+    bids = _checked_bids(instance, bids)
     bound = DEFAULT_MAX_NODES if max_nodes is None else max_nodes
     n = instance.n
     fact = math.factorial(n)
     if fact > bound:
         raise WorkBoundExceeded(f"orp: {n}! priority orders exceed {bound}")
-    counts: dict[Allocation, int] = {}
+    outcomes: dict[tuple, int] = {}
     for perm in permutations(range(n)):
         owners = []
         for j in range(instance.m):
@@ -362,66 +434,108 @@ def orp_distribution(instance: Instance, bids: Optional[BidProfile] = None, *,
                     pick = i
                     break
             owners.append(pick)
-        alloc = Allocation(tuple(owners))
-        counts[alloc] = counts.get(alloc, 0) + 1
-    support = {a: Fraction(c, fact) for a, c in counts.items()}
-    return AllocationDistribution.from_map(instance, support)
+        key = tuple(owners)
+        outcomes[key] = outcomes.get(key, 0) + 1
+    return outcomes, fact
+
+
+def orp_distribution(instance: Instance, bids: Optional[BidProfile] = None, *,
+                     max_nodes: Optional[int] = None) -> AllocationDistribution:
+    """Uniform mixture of serial dictatorships over all priority orders.
+
+    Exact by construction: every one of the n! orders is run and the
+    deterministic outcomes are merged with weight 1/n!.
+    """
+    outcomes, fact = _orp_outcomes(instance, bids, max_nodes)
+    return AllocationDistribution.from_map(
+        instance, {Allocation(owners): Fraction(c, fact) for owners, c in outcomes.items()}
+    )
+
+
+def _orp_counts(instance: Instance, bids: Optional[BidProfile],
+                max_nodes: Optional[int]) -> tuple[ItemCounts, int]:
+    """orp's item marginals as (counts, n!), from the priority-order counts."""
+    outcomes, fact = _orp_outcomes(instance, bids, max_nodes)
+    counts = [[0] * instance.m for _ in range(instance.n)]
+    for owners, c in outcomes.items():
+        for j, i in enumerate(owners):
+            if i is not None:
+                counts[i][j] += c
+    return counts, fact
 
 
 @dataclass(frozen=True)
 class Mechanism:
-    """A named mapping from (instance, bids) to an allocation distribution."""
+    """A named mapping from (instance, bids) to an allocation distribution.
+
+    ``counter`` gives the same outcome's item marginals in integer form,
+    for the questions that need nothing else (see `item_counts`).
+    """
 
     name: str
     runner: Callable[[Instance, Optional[BidProfile], Optional[int]], AllocationDistribution]
+    counter: Callable[[Instance, Optional[BidProfile], Optional[int]], tuple[ItemCounts, int]]
 
     def run(self, instance: Instance, bids: Optional[BidProfile] = None, *,
             max_nodes: Optional[int] = None) -> AllocationDistribution:
         return self.runner(instance, bids, max_nodes)
 
+    def item_counts(self, instance: Instance, bids: Optional[BidProfile] = None, *,
+                    max_nodes: Optional[int] = None) -> tuple[ItemCounts, int]:
+        """Item marginals of `run`'s distribution as (counts, L): agent i
+        gets item j with probability ``counts[i][j] / L``. No distribution
+        is built, and the work bound is the one `run` applies."""
+        return self.counter(instance, bids, max_nodes)
+
+
+def _rule_mechanism(name: str, make_rule: Callable[[Instance], FeasibilityRule]) -> Mechanism:
+    def run(instance, bids, max_nodes):
+        return allocate(make_rule(instance), instance, bids, max_nodes=max_nodes)
+
+    def count(instance, bids, max_nodes):
+        rule = make_rule(instance)
+        _, counts, scale = _expand(rule, instance, _checked_bids(instance, bids), max_nodes,
+                                   keep_owners=False)
+        return counts, scale
+
+    return Mechanism(name, run, count)
+
 
 def osd(order: PriorityOrder | Sequence[int] | None = None) -> Mechanism:
     """Serial dictatorship; defaults to the identity priority order."""
 
-    def run(instance, bids, max_nodes):
+    def rule(instance):
         o = PriorityOrder.identity(instance.n) if order is None else order
         if not isinstance(o, PriorityOrder):
             o = PriorityOrder(tuple(o))
         if o.n != instance.n:
             raise ValueError("priority order length differs from agent count")
-        return allocate(OsdRule(o), instance, bids, max_nodes=max_nodes)
+        return OsdRule(o)
 
-    return Mechanism("osd", run)
+    return _rule_mechanism("osd", rule)
 
 
 def orp() -> Mechanism:
     def run(instance, bids, max_nodes):
         return orp_distribution(instance, bids, max_nodes=max_nodes)
 
-    return Mechanism("orp", run)
-
-
-def _rule_mechanism(name: str, factory: Callable[[], FeasibilityRule]) -> Mechanism:
-    def run(instance, bids, max_nodes):
-        return allocate(factory(), instance, bids, max_nodes=max_nodes)
-
-    return Mechanism(name, run)
+    return Mechanism("orp", run, _orp_counts)
 
 
 def like() -> Mechanism:
-    return _rule_mechanism("like", LikeRule)
+    return _rule_mechanism("like", lambda _: LikeRule())
 
 
 def balanced_like() -> Mechanism:
-    return _rule_mechanism("balanced-like", BalancedLikeRule)
+    return _rule_mechanism("balanced-like", lambda _: BalancedLikeRule())
 
 
 def maximum_like() -> Mechanism:
-    return _rule_mechanism("maximum-like", MaximumLikeRule)
+    return _rule_mechanism("maximum-like", lambda _: MaximumLikeRule())
 
 
 def pareto_like() -> Mechanism:
-    return _rule_mechanism("pareto-like", ParetoLikeRule)
+    return _rule_mechanism("pareto-like", lambda _: ParetoLikeRule())
 
 
 def get_mechanism(name: str, *, sigma: PriorityOrder | Sequence[int] | None = None) -> Mechanism:

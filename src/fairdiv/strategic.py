@@ -21,9 +21,7 @@ from .core import (
     Value,
     WorkBoundExceeded,
     as_value,
-    bundle_utility,
     format_value,
-    marginals,
 )
 from .mechanisms import Mechanism
 
@@ -99,11 +97,12 @@ class ProbeWitness:
         }
 
 
-def _expected_true_value(dist, agent: int, utilities) -> Value:
-    total = 0
-    for alloc, prob in dist:
-        total += prob * bundle_utility(alloc, agent, agent, utilities)
-    return as_value(total)
+def _true_value(counts: Sequence[Sequence[int]], scale: int, agent: int,
+                utilities: Sequence[Sequence[Value]]) -> Value:
+    """An agent's expected true utility from integer item marginals over
+    ``scale``, as returned by `Mechanism.item_counts`."""
+    total = sum(c * u for c, u in zip(counts[agent], utilities[agent]))
+    return as_value(Fraction(total, scale))
 
 
 def sp_falsify(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = None, *,
@@ -117,7 +116,7 @@ def sp_falsify(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = No
     grid = grid or BidGrid()
     u = instance.utilities
     sincere = BidProfile.sincere(instance)
-    base = mech.run(instance, max_nodes=max_nodes)
+    base = mech.item_counts(instance, max_nodes=max_nodes)
     for agent in range(instance.n):
         menus = [grid.values(instance, agent, j) for j in range(instance.m)]
         count = 1
@@ -127,12 +126,13 @@ def sp_falsify(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = No
             raise WorkBoundExceeded(
                 f"{count} candidate rows for agent {agent + 1} exceed {max_candidates}"
             )
-        baseline = _expected_true_value(base, agent, u)
+        baseline = _true_value(*base, agent, u)
         for row in itertools.product(*menus):
             if row == u[agent]:
                 continue
-            dist = mech.run(instance, sincere.replace_row(agent, row), max_nodes=max_nodes)
-            value = _expected_true_value(dist, agent, u)
+            counts = mech.item_counts(instance, sincere.replace_row(agent, row),
+                                      max_nodes=max_nodes)
+            value = _true_value(*counts, agent, u)
             if value > baseline:
                 return Deviation(agent, row, None, baseline, value)
     return None
@@ -152,15 +152,15 @@ def osp_falsify(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = N
     for item in range(instance.m):
         prefix = instance.prefix(item + 1)
         sincere = BidProfile.sincere(prefix)
-        base = mech.run(prefix, max_nodes=max_nodes)
+        base = mech.item_counts(prefix, max_nodes=max_nodes)
         for agent in range(instance.n):
-            baseline = _expected_true_value(base, agent, prefix.utilities)
+            baseline = _true_value(*base, agent, prefix.utilities)
             for bid in grid.values(instance, agent, item):
                 if bid == u[agent][item]:
                     continue
                 bids = sincere.replace_bid(agent, item, bid)
-                dist = mech.run(prefix, bids, max_nodes=max_nodes)
-                value = _expected_true_value(dist, agent, prefix.utilities)
+                counts = mech.item_counts(prefix, bids, max_nodes=max_nodes)
+                value = _true_value(*counts, agent, prefix.utilities)
                 if value > baseline:
                     row = u[agent][:item] + (bid,) + u[agent][item + 1:]
                     return Deviation(agent, row, item, baseline, value)
@@ -197,21 +197,23 @@ def memoryless_probe(mech: Mechanism, instance: Instance,
     """Witness that an earlier bid steers a later item's probabilities.
 
     Perturbs one earlier cell at a time and compares the marginal
-    probability columns of every later item against the sincere run.
+    probability columns of every later item against the sincere run. The
+    marginals are integer counts over each run's own scale, so columns are
+    compared by cross-multiplying: c / L == c' / L' exactly when
+    c * L' == c' * L.
     """
     grid = grid or BidGrid()
     sincere = BidProfile.sincere(instance)
-    base = marginals(mech.run(instance, max_nodes=max_nodes))
+    base, scale = mech.item_counts(instance, max_nodes=max_nodes)
     for item in range(instance.m - 1):
         for agent in range(instance.n):
             for bid in grid.values(instance, agent, item):
                 if bid == instance.utility(agent, item):
                     continue
-                dist = mech.run(instance, sincere.replace_bid(agent, item, bid),
-                                max_nodes=max_nodes)
-                p = marginals(dist)
+                p, p_scale = mech.item_counts(instance, sincere.replace_bid(agent, item, bid),
+                                              max_nodes=max_nodes)
                 for later in range(item + 1, instance.m):
-                    if any(p.entry(i, later) != base.entry(i, later)
+                    if any(p[i][later] * scale != base[i][later] * p_scale
                            for i in range(instance.n)):
                         return ProbeWitness(agent, item, bid, later)
     return None

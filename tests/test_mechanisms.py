@@ -1,8 +1,9 @@
-"""Engine and feasibility rules against hand-computed distributions."""
+"""Engine and feasibility rules against hand-computed distributions and
+against the recursive tree walk the layered engine replaced."""
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -10,8 +11,10 @@ from fairdiv import (
     Allocation,
     AllocationDistribution,
     BidProfile,
+    DEFAULT_MAX_NODES,
     DomainSpec,
     Instance,
+    MECHANISM_NAMES,
     PriorityOrder,
     RuleInvariantError,
     WorkBoundExceeded,
@@ -29,7 +32,17 @@ from fairdiv import (
     pareto_levels,
     pareto_like,
 )
-from fairdiv.mechanisms import FeasibilityRule, _positive_bidders, _undominated
+from fairdiv import mechanisms
+from fairdiv.mechanisms import (
+    BalancedLikeRule,
+    FeasibilityRule,
+    LikeRule,
+    MaximumLikeRule,
+    OsdRule,
+    ParetoLikeRule,
+    _positive_bidders,
+    _undominated,
+)
 
 SWAP = Instance(((1, 2), (2, 1)))
 CLOSE = Instance(((1, 4), (2, 3)))
@@ -164,13 +177,13 @@ def test_rule_invariant_violations_are_reported():
     class NeverFeasible(FeasibilityRule):
         name = "never"
 
-        def feasible(self, state, item, sizes, totals):
+        def feasible(self, state, item, key):
             return ()
 
     class AlwaysAgentZero(FeasibilityRule):
         name = "always"
 
-        def feasible(self, state, item, sizes, totals):
+        def feasible(self, state, item, key):
             return (0,)
 
     with pytest.raises(RuleInvariantError):
@@ -361,3 +374,185 @@ def test_orp_direct_evaluation_handles_discards():
     bids = BidProfile(((0, 2), (0, 1)))
     dist = orp_distribution(inst, bids)
     assert owners_map(dist) == {(None, 0): Fraction(1, 2), (None, 1): Fraction(1, 2)}
+
+
+# --- the layered engine against the recursive walk it replaced -------------
+
+def _walk_key(rule, sizes, totals):
+    """The state key a rule reads, rebuilt from the walk's own bookkeeping."""
+    if isinstance(rule, BalancedLikeRule):
+        return tuple(sizes)
+    if isinstance(rule, ParetoLikeRule):
+        return tuple(totals)
+    return ()
+
+
+def _reference_allocate(rule, instance, bids=None, *, max_nodes=None):
+    """The recursive tree walk that `allocate` ran before the layered pass,
+    kept as the reference path. Each leaf adds Fraction(1, den) to its
+    allocation. The walk keeps its own bundle sizes and bid totals; the
+    only change is that `_walk_key` turns them into the rule's key."""
+    if bids is None:
+        bids = BidProfile.sincere(instance)
+    if not bids.matches(instance):
+        raise ValueError("bid profile shape differs from instance")
+    bound = DEFAULT_MAX_NODES if max_nodes is None else max_nodes
+    positives = _positive_bidders(bids)
+    width = 1
+    for j in range(instance.m):
+        width *= rule.branch_width(positives, j)
+        if width > bound:
+            raise WorkBoundExceeded(
+                f"{rule.name}: expansion tree may exceed {bound} leaves"
+            )
+    state = rule.begin(instance, bids, positives)
+    n, m = instance.n, instance.m
+    owners = [None] * m
+    sizes = [0] * n
+    totals = [0] * n
+    support = {}
+
+    def walk(j, den):
+        if j == m:
+            alloc = Allocation(tuple(owners))
+            support[alloc] = support.get(alloc, Fraction(0)) + Fraction(1, den)
+            return
+        feas = rule.feasible(state, j, _walk_key(rule, sizes, totals))
+        if not feas:
+            if positives[j]:
+                raise RuleInvariantError(
+                    f"{rule.name}: no feasible agent for item {j + 1} despite positive bids"
+                )
+            owners[j] = None
+            walk(j + 1, den)
+            return
+        if not positives[j]:
+            raise RuleInvariantError(
+                f"{rule.name}: item {j + 1} has no positive bid but was assigned"
+            )
+        k = len(feas)
+        for i in feas:
+            owners[j] = i
+            sizes[i] += 1
+            totals[i] += bids.bid(i, j)
+            walk(j + 1, den * k)
+            totals[i] -= bids.bid(i, j)
+            sizes[i] -= 1
+        owners[j] = None
+
+    walk(0, 1)
+    return AllocationDistribution.from_map(instance, support)
+
+
+REFERENCE_RULES = {
+    "like": LikeRule,
+    "balanced-like": BalancedLikeRule,
+    "maximum-like": MaximumLikeRule,
+    "pareto-like": ParetoLikeRule,
+}
+
+
+def reference_run(name, instance, bids=None):
+    """A mechanism's distribution through the recursive walk alone; orp is
+    the explicit mixture of every priority order's walked dictatorship."""
+    n = instance.n
+    if name == "osd":
+        return _reference_allocate(OsdRule(PriorityOrder.identity(n)), instance, bids)
+    if name == "orp":
+        orders = list(permutations(range(n)))
+        return AllocationDistribution.mix([
+            (_reference_allocate(OsdRule(PriorityOrder(p)), instance, bids),
+             Fraction(1, len(orders)))
+            for p in orders])
+    return _reference_allocate(REFERENCE_RULES[name](), instance, bids)
+
+
+@pytest.fixture
+def exact_splits(monkeypatch):
+    """Route every split of the engine through a divmod that fails on a
+    nonzero remainder, and record the split widths it saw."""
+    widths = []
+
+    def checked(weight, ways):
+        q, r = divmod(weight, ways)
+        assert r == 0, (weight, ways)
+        widths.append(ways)
+        return q
+
+    monkeypatch.setattr(mechanisms, "_share", checked)
+    return widths
+
+
+def _assert_engine_matches_walk(inst, bids):
+    for name in MECHANISM_NAMES:
+        mech = get_mechanism(name)
+        want = reference_run(name, inst, bids)
+        assert mech.run(inst, bids).entries == want.entries, (name, bids)
+        counts, scale = mech.item_counts(inst, bids)
+        got = tuple(tuple(Fraction(c, scale) for c in row) for row in counts)
+        assert got == marginals(want).p, (name, bids)
+
+
+def _grid_bids(n, m):
+    for flat in product(range(4), repeat=n * m):
+        yield BidProfile(tuple(tuple(flat[i * m:(i + 1) * m]) for i in range(n)))
+
+
+def seeded_cases(count, seed):
+    """(instance, bids): 2-3 agents, 1-3 items, Fraction bids, about one
+    column in five all zero. The instance is the bids with every zero
+    column given a unit utility for agent 1."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n, m = rng.randint(2, 3), rng.randint(1, 3)
+        rows = [[Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(m)]
+                for _ in range(n)]
+        for j in range(m):
+            if rng.random() < 0.2:
+                for row in rows:
+                    row[j] = 0
+        bids = BidProfile(tuple(tuple(r) for r in rows))
+        utilities = [list(r) for r in rows]
+        for j in range(m):
+            if all(row[j] == 0 for row in rows):
+                utilities[0][j] = 1
+        out.append((Instance(tuple(tuple(r) for r in utilities)), bids))
+    return out
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 3)])
+def test_engine_matches_walk_on_exhaustive_grids(n, m, exact_splits):
+    inst = Instance(tuple((1,) * m for _ in range(n)))
+    for bids in _grid_bids(n, m):
+        _assert_engine_matches_walk(inst, bids)
+    assert 2 in exact_splits
+
+
+def test_engine_matches_walk_on_fractional_bids(exact_splits):
+    cases = seeded_cases(160, 20200711)
+    assert sum(any(all(b == 0 for b in col) for col in zip(*bids.bids))
+               for _, bids in cases) >= 30
+    for inst, bids in cases:
+        _assert_engine_matches_walk(inst, bids)
+    assert 3 in exact_splits
+
+
+def test_item_counts_keep_the_work_bound():
+    inst = Instance(((1, 1, 1), (1, 1, 1)))
+    with pytest.raises(WorkBoundExceeded):
+        like().item_counts(inst, max_nodes=4)
+    counts, scale = like().item_counts(inst, max_nodes=8)
+    assert (counts, scale) == ([[4, 4, 4], [4, 4, 4]], 8)
+    with pytest.raises(WorkBoundExceeded):
+        orp().item_counts(Instance(tuple((1,) for _ in range(6))), max_nodes=100)
+
+
+def test_item_counts_merge_equal_keys():
+    # balanced-like on four identical items: sizes (1, 1) after two items
+    # is one merged node, whichever agent took which item
+    inst = Instance(((1, 1, 1, 1), (1, 1, 1, 1)))
+    bids = BidProfile.sincere(inst)
+    layer, counts, scale = mechanisms._expand(BalancedLikeRule(), inst, bids, None, False)
+    assert layer == {((), (2, 2)): scale}
+    assert [[Fraction(c, scale) for c in row] for row in counts] == [[Fraction(1, 2)] * 4] * 2

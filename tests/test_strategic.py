@@ -1,5 +1,6 @@
 """Deviation searches and behavioral probes, with re-simulated witnesses."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,12 +8,19 @@ import pytest
 from fairdiv import (
     BidGrid,
     BidProfile,
+    ConstructedMechanism,
+    Deviation,
     Instance,
+    MECHANISM_NAMES,
+    ProbeWitness,
     WorkBoundExceeded,
+    as_value,
     balanced_like,
     bundle_utility,
     classify,
+    get_mechanism,
     like,
+    marginals,
     maximum_like,
     memoryless_probe,
     orp,
@@ -21,7 +29,9 @@ from fairdiv import (
     pareto_like,
     sp_falsify,
     step_probe,
+    worked_example,
 )
+from test_mechanisms import reference_run, seeded_cases
 
 SWAP = Instance(((1, 2), (2, 1)))
 
@@ -172,3 +182,133 @@ def test_deviation_json():
 def test_candidate_budget():
     with pytest.raises(WorkBoundExceeded):
         sp_falsify(maximum_like(), SWAP, max_candidates=3)
+
+
+def test_constructed_mechanisms_on_worked_examples():
+    # example 2: like with a tilted override on its own instance
+    inst, mech = worked_example(2)
+    assert sp_falsify(mech, inst) == Deviation(
+        0, (Fraction(1, 2), Fraction(1, 2)), None, Fraction(5, 4), Fraction(3, 2))
+    assert osp_falsify(mech, inst) == Deviation(
+        0, (1, Fraction(1, 2)), 1, Fraction(5, 4), Fraction(3, 2))
+    assert memoryless_probe(mech, inst) == ProbeWitness(0, 0, 0, 1)
+    assert step_probe(mech, inst) == ProbeWitness(0, 0, Fraction(1, 2))
+    # example 4: maximum-like with an exception on the swap instance
+    inst, mech = worked_example(4)
+    assert sp_falsify(mech, inst) == Deviation(0, (4, 2), None, Fraction(5, 2), 3)
+    assert osp_falsify(mech, inst) == Deviation(0, (2, 2), 0, 0, Fraction(1, 2))
+    assert memoryless_probe(mech, inst) == ProbeWitness(0, 0, 0, 1)
+    assert step_probe(mech, inst) == ProbeWitness(0, 0, Fraction(1, 2))
+
+
+def test_constructed_item_counts_follow_the_override():
+    for eid in (2, 4):
+        inst, mech = worked_example(eid)
+        for bids in (None, BidProfile(((1, 1), (1, 1)))):
+            counts, scale = mech.item_counts(inst, bids)
+            got = tuple(tuple(Fraction(c, scale) for c in row) for row in counts)
+            assert got == marginals(mech.run(inst, bids)).p, (eid, bids)
+    # the override's scale is the lcm of its probability denominators
+    inst, mech = worked_example(2)
+    assert mech.item_counts(inst) == ([[4, 1], [0, 3]], 4)
+    mixed = ConstructedMechanism("halves", like(), ((inst.utilities, like().run(inst)),))
+    assert mixed.item_counts(inst) == ([[2, 1], [0, 1]], 2)
+
+
+# --- the searches against full-distribution references --------------------
+#
+# Each reference repeats its search's loop as it ran before the searches
+# read integer marginals: a full distribution per candidate, from the
+# recursive walk of test_mechanisms, valued by `expected_true_value` above
+# (the library's former `_expected_true_value`) or compared by `marginals`.
+
+def reference_sp(name, instance, grid=BidGrid()):
+    u = instance.utilities
+    sincere = BidProfile.sincere(instance)
+    base = reference_run(name, instance)
+    for agent in range(instance.n):
+        menus = [grid.values(instance, agent, j) for j in range(instance.m)]
+        baseline = as_value(expected_true_value(base, agent, u))
+        for row in itertools.product(*menus):
+            if row == u[agent]:
+                continue
+            dist = reference_run(name, instance, sincere.replace_row(agent, row))
+            value = as_value(expected_true_value(dist, agent, u))
+            if value > baseline:
+                return Deviation(agent, row, None, baseline, value)
+    return None
+
+
+def reference_osp(name, instance, grid=BidGrid()):
+    u = instance.utilities
+    for item in range(instance.m):
+        prefix = instance.prefix(item + 1)
+        sincere = BidProfile.sincere(prefix)
+        base = reference_run(name, prefix)
+        for agent in range(instance.n):
+            baseline = as_value(expected_true_value(base, agent, prefix.utilities))
+            for bid in grid.values(instance, agent, item):
+                if bid == u[agent][item]:
+                    continue
+                dist = reference_run(name, prefix, sincere.replace_bid(agent, item, bid))
+                value = as_value(expected_true_value(dist, agent, prefix.utilities))
+                if value > baseline:
+                    row = u[agent][:item] + (bid,) + u[agent][item + 1:]
+                    return Deviation(agent, row, item, baseline, value)
+    return None
+
+
+def reference_memoryless(name, instance, grid=BidGrid()):
+    sincere = BidProfile.sincere(instance)
+    base = marginals(reference_run(name, instance))
+    for item in range(instance.m - 1):
+        for agent in range(instance.n):
+            for bid in grid.values(instance, agent, item):
+                if bid == instance.utility(agent, item):
+                    continue
+                p = marginals(reference_run(name, instance,
+                                            sincere.replace_bid(agent, item, bid)))
+                for later in range(item + 1, instance.m):
+                    if any(p.entry(i, later) != base.entry(i, later)
+                           for i in range(instance.n)):
+                        return ProbeWitness(agent, item, bid, later)
+    return None
+
+
+def _assert_searches_match(instances):
+    found = 0
+    for inst in instances:
+        for name in MECHANISM_NAMES:
+            mech = get_mechanism(name)
+            for search, reference in ((sp_falsify, reference_sp),
+                                      (osp_falsify, reference_osp),
+                                      (memoryless_probe, reference_memoryless)):
+                got = search(mech, inst)
+                assert got == reference(name, inst), (search.__name__, name, inst)
+                found += got is not None
+    return found
+
+
+def _grid_instances(n, m):
+    for flat in itertools.product(range(4), repeat=n * m):
+        rows = tuple(tuple(flat[i * m:(i + 1) * m]) for i in range(n))
+        if all(any(row[j] for row in rows) for j in range(m)):
+            yield Instance(rows)
+
+
+def test_searches_match_references_on_the_exhaustive_2x2_grid():
+    assert _assert_searches_match(_grid_instances(2, 2)) > 500
+
+
+def test_searches_match_references_on_the_2x3_grid():
+    # every 75th of the 3375 instances: a full pass takes over ten minutes
+    sample = list(_grid_instances(2, 3))[::75]
+    assert len(sample) == 45
+    assert _assert_searches_match(sample) > 200
+
+
+def test_searches_match_references_on_fractional_instances():
+    instances = [inst for inst, _ in seeded_cases(150, 20200711)]
+    assert any(isinstance(x, Fraction) for inst in instances for row in inst.utilities
+               for x in row)
+    assert _assert_searches_match(instances) > 400
