@@ -13,6 +13,7 @@ the text file format use 1-based numbering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -222,7 +223,9 @@ class AllocationDistribution:
     The support is stored in a canonical deterministic order. Probabilities
     are positive Fractions summing to exactly one. Every allocation in the
     support covers the same item prefix (all of the instance's items, since
-    runs expand the whole horizon).
+    runs expand the whole horizon). Every distribution is validated; the
+    sum is checked in integers over the lcm of the denominators, so no
+    Fraction is added.
     """
 
     instance: Instance
@@ -231,31 +234,35 @@ class AllocationDistribution:
     def __post_init__(self) -> None:
         if not self.entries:
             raise ValueError("distribution must have nonempty support")
-        total = Fraction(0)
+        n, m = self.instance.n, self.instance.m
         seen = set()
         for alloc, prob in self.entries:
-            if alloc.m != self.instance.m:
+            owners = alloc.owners
+            if len(owners) != m:
                 raise ValueError("allocation length differs from instance size")
-            for o in alloc.owners:
-                if o is not None and o >= self.instance.n:
+            for o in owners:
+                if o is not None and o >= n:
                     raise ValueError("owner index out of range")
-            if alloc in seen:
+            # equal owners tuples are equal allocations
+            if owners in seen:
                 raise ValueError("duplicate allocation in support")
-            seen.add(alloc)
+            seen.add(owners)
             if not isinstance(prob, Fraction):
                 raise ValueError("probabilities must be Fractions")
-            if prob <= 0:
+            if prob.numerator <= 0:
                 raise ValueError("support probabilities must be positive")
-            total += prob
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, expected 1")
+        scale = math.lcm(*(p.denominator for _, p in self.entries))
+        total = sum(p.numerator * (scale // p.denominator) for _, p in self.entries)
+        if total != scale:
+            raise ValueError(f"probabilities sum to {Fraction(total, scale)}, expected 1")
         ordered = tuple(sorted(self.entries, key=lambda e: e[0].sort_key()))
         object.__setattr__(self, "entries", ordered)
 
     @classmethod
     def from_map(cls, instance: Instance,
                  support: Mapping[Allocation, object]) -> "AllocationDistribution":
-        entries = tuple((a, Fraction(p)) for a, p in support.items())
+        entries = tuple((a, p if isinstance(p, Fraction) else Fraction(p))
+                        for a, p in support.items())
         return cls(instance, entries)
 
     @classmethod
@@ -368,15 +375,37 @@ class ExpectedUtilityMatrix:
         return tuple(self.ubar[i][i] for i in range(self.n))
 
 
-def marginals(dist: AllocationDistribution) -> AssignmentMatrix:
-    """Collapse a distribution to per-item assignment probabilities."""
-    n, m = dist.n, dist.m
-    acc = [[Fraction(0)] * m for _ in range(n)]
+#: ``counts[i][j]``: agent i's share of item j, in units of a common scale
+ItemCounts = list[list[int]]
+
+
+def marginal_counts(dist: AllocationDistribution) -> tuple[ItemCounts, int]:
+    """Item marginals in integer form ``(counts, L)``.
+
+    ``L`` is the lcm of the support's probability denominators and
+    ``counts[i][j]`` adds ``p * L`` over the support allocations in which
+    agent i owns item j, so agent i gets item j with probability
+    ``counts[i][j] / L``.
+    """
+    scale = math.lcm(*(p.denominator for _, p in dist.entries))
+    counts = [[0] * dist.m for _ in range(dist.n)]
     for alloc, prob in dist.entries:
+        w = prob.numerator * (scale // prob.denominator)
         for j, o in enumerate(alloc.owners):
             if o is not None:
-                acc[o][j] += prob
-    return AssignmentMatrix(tuple(tuple(as_value(x) for x in row) for row in acc))
+                counts[o][j] += w
+    return counts, scale
+
+
+def marginals(dist: AllocationDistribution) -> AssignmentMatrix:
+    """Collapse a distribution to per-item assignment probabilities.
+
+    The sums are taken in integers by `marginal_counts`; each cell becomes
+    one Fraction at the end.
+    """
+    counts, scale = marginal_counts(dist)
+    return AssignmentMatrix(tuple(tuple(as_value(Fraction(c, scale)) for c in row)
+                                  for row in counts))
 
 
 def expected_utilities(p: AssignmentMatrix,

@@ -12,7 +12,6 @@ so suites can be reproduced byte for byte.
 from __future__ import annotations
 
 import json
-import math
 import random
 import re
 from dataclasses import dataclass
@@ -25,11 +24,13 @@ from .core import (
     BidProfile,
     FairDivError,
     Instance,
+    ItemCounts,
     Value,
     as_value,
     format_value,
+    marginal_counts,
 )
-from .mechanisms import ItemCounts, Mechanism, like, maximum_like
+from .mechanisms import Mechanism, like, maximum_like
 
 DOMAIN_NAMES = (
     "general",
@@ -293,13 +294,7 @@ class ConstructedMechanism:
         bids, dist = self._override(instance, bids)
         if dist is None:
             return self.base.item_counts(instance, bids, max_nodes=max_nodes)
-        scale = math.lcm(*(p.denominator for _, p in dist))
-        counts = [[0] * instance.m for _ in range(instance.n)]
-        for alloc, p in dist:
-            for j, i in enumerate(alloc.owners):
-                if i is not None:
-                    counts[i][j] += p.numerator * (scale // p.denominator)
-        return counts, scale
+        return marginal_counts(dist)
 
 
 def _exact_rows(rows: Sequence[Sequence[object]]) -> tuple[tuple[Value, ...], ...]:

@@ -45,6 +45,7 @@ from .core import (
     BidProfile,
     FairDivError,
     Instance,
+    ItemCounts,
     PriorityOrder,
     Value,
     WorkBoundExceeded,
@@ -321,10 +322,6 @@ def _checked_bids(instance: Instance, bids: Optional[BidProfile]) -> BidProfile:
     if not bids.matches(instance):
         raise ValueError("bid profile shape differs from instance")
     return bids
-
-
-#: ``counts[i][j]``: agent i's share of item j, in units of a common scale
-ItemCounts = list[list[int]]
 
 
 def _share(weight: int, ways: int) -> int:

@@ -1,12 +1,12 @@
 """Ground-truth allocation analysis: enumeration, dominance, and exact LP.
 
 Everything here is deliberately brute force. Allocations are enumerated
-item by item, Pareto comparisons are pairwise over full utility vectors,
-and the question "can any lottery over allocations beat this expected
-utility point" is decided by a small exact simplex over an integer
-(fraction-free) tableau. These are the oracles that the mechanism engine
-and the axiom checkers are audited against, so they share no shortcuts
-with them.
+item by item, the Pareto frontier comes from a pairwise test over the
+distinct utility vectors, and the question "can any lottery over
+allocations beat this expected utility point" is decided by a small
+exact simplex over an integer (fraction-free) tableau. These are the
+oracles that the mechanism engine and the axiom checkers are audited
+against, so they share no shortcuts with them.
 
 Dominance can be judged under two different matrices: the bids (the
 mechanism's view of the world) or the utilities (the auditor's view). The
@@ -17,9 +17,10 @@ utilities.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import Optional, Sequence
 
 from .core import (
@@ -74,9 +75,9 @@ def enumerate_allocations(instance: Instance, bids: Optional[BidProfile] = None,
         if count > bound:
             raise WorkBoundExceeded(f"enumeration may exceed {bound} allocations")
         options.append(opts)
-    allocs = [Allocation(owners) for owners in product(*options)]
-    allocs.sort(key=Allocation.sort_key)
-    return allocs
+    # product yields canonical order already: each item's options are in
+    # ascending agent order, and None is only ever an item's sole option
+    return [Allocation(owners) for owners in product(*options)]
 
 
 def dominates(va: Sequence[Value], vb: Sequence[Value]) -> bool:
@@ -114,21 +115,27 @@ def is_pep(alloc: Allocation, instance: Instance, bids: Optional[BidProfile] = N
 def pareto_frontier(instance: Instance, bids: Optional[BidProfile] = None, *,
                     values: Optional[Sequence[Sequence[Value]]] = None,
                     max_nodes: Optional[int] = None) -> list[Allocation]:
-    """All Pareto efficient non-wasteful allocations, canonically ordered."""
+    """All Pareto efficient non-wasteful allocations, canonically ordered.
+
+    Each allocation's utility vector is computed once, and the pairwise
+    test runs over the distinct vectors: a vector is dominated when some
+    vector with a strictly larger sum is at least as large everywhere
+    (with an equal sum it would be the same vector).
+    """
     if values is None:
         values = instance.utilities
     allocs = enumerate_allocations(instance, bids, max_nodes=max_nodes)
     vectors = [utility_vector(a, values) for a in allocs]
-    out = []
-    for i, va in enumerate(vectors):
-        dominated = False
-        for vb in vectors:
-            if vb != va and all(x >= y for x, y in zip(vb, va)):
-                dominated = True
-                break
-        if not dominated:
-            out.append(allocs[i])
-    return out
+    sums = {v: sum(v) for v in vectors}
+    ranked = sorted(sums, key=sums.__getitem__, reverse=True)
+    maximal = set()
+    larger = 0  # ranked[:larger] holds exactly the vectors with a larger sum
+    for k, va in enumerate(ranked):
+        if sums[va] != sums[ranked[larger]]:
+            larger = k
+        if not any(all(map(operator.ge, vb, va)) for vb in islice(ranked, larger)):
+            maximal.add(va)
+    return [a for a, v in zip(allocs, vectors) if v in maximal]
 
 
 @dataclass(frozen=True)

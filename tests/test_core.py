@@ -1,10 +1,14 @@
 """Domain model: exact values, instances, allocations, distributions."""
 
+import math
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from fairdiv import (
+    MECHANISM_NAMES,
     Allocation,
     AllocationDistribution,
     AssignmentMatrix,
@@ -15,8 +19,10 @@ from fairdiv import (
     bundle_utility,
     expected_utilities,
     format_value,
+    get_mechanism,
     marginals,
 )
+from fairdiv.core import marginal_counts
 
 
 def test_as_value_normalizes_integral_fractions():
@@ -120,6 +126,40 @@ def test_distribution_validates_probabilities():
         AllocationDistribution(inst, ())
 
 
+def test_distribution_rejects_bad_probabilities():
+    inst = Instance(((1, 2), (2, 1)))
+    half = Fraction(1, 2)
+    with pytest.raises(ValueError, match="support probabilities must be positive"):
+        AllocationDistribution.from_map(
+            inst, {Allocation((0, 0)): 0, Allocation((1, 1)): 1})
+    with pytest.raises(ValueError, match="support probabilities must be positive"):
+        AllocationDistribution.from_map(inst, {
+            Allocation((0, 0)): Fraction(-1, 2),
+            Allocation((0, 1)): Fraction(3, 4),
+            Allocation((1, 1)): Fraction(3, 4),
+        })
+    with pytest.raises(ValueError, match="probabilities must be Fractions"):
+        AllocationDistribution(inst, ((Allocation((0, 0)), 1),))
+    with pytest.raises(ValueError, match="duplicate allocation in support"):
+        AllocationDistribution(inst, ((Allocation((0, 0)), half), (Allocation((0, 0)), half)))
+    with pytest.raises(ValueError) as err:
+        AllocationDistribution.from_map(inst, {Allocation((0, 0)): half})
+    assert str(err.value) == "probabilities sum to 1/2, expected 1"
+    with pytest.raises(ValueError, match="probabilities sum to 4/3, expected 1"):
+        AllocationDistribution.from_map(
+            inst, {Allocation((0, 0)): Fraction(2, 3), Allocation((1, 1)): Fraction(2, 3)})
+
+
+def test_distribution_accepts_mixed_denominators_summing_to_one():
+    inst = Instance(((1, 2), (2, 1)))
+    dist = AllocationDistribution.from_map(inst, {
+        Allocation((0, 0)): Fraction(1, 3),
+        Allocation((0, 1)): Fraction(1, 6),
+        Allocation((1, 1)): Fraction(1, 2),
+    })
+    assert dist.probability(Allocation((0, 1))) == Fraction(1, 6)
+
+
 def test_distribution_support_is_canonically_ordered():
     inst = Instance(((1, 2), (2, 1)))
     dist = AllocationDistribution.from_map(inst, {
@@ -176,6 +216,52 @@ def test_marginals_skip_discarded_items():
     p = marginals(dist)
     assert [p.entry(i, 0) for i in range(2)] == [0, 0]
     assert p.entry(1, 1) == 1
+
+
+def _reference_marginals(dist):
+    """The Fraction-summing marginals that `marginal_counts` replaced."""
+    n, m = dist.n, dist.m
+    acc = [[Fraction(0)] * m for _ in range(n)]
+    for alloc, prob in dist.entries:
+        for j, o in enumerate(alloc.owners):
+            if o is not None:
+                acc[o][j] += prob
+    return AssignmentMatrix(tuple(tuple(as_value(x) for x in row) for row in acc))
+
+
+def _assert_same_marginals(dist):
+    got, want = marginals(dist), _reference_marginals(dist)
+    assert got == want
+    assert [[type(x) for x in row] for row in got.p] == [[type(x) for x in row] for row in want.p]
+
+
+def test_marginals_match_fraction_sums_on_seeded_distributions():
+    rng = random.Random(20200629)
+    for _ in range(200):
+        n, m = rng.randint(2, 4), rng.randint(1, 4)
+        inst = Instance(tuple(tuple(rng.randint(1, 3) for _ in range(m)) for _ in range(n)))
+        options = [(None,) if rng.random() < 0.25 else tuple(range(n)) for _ in range(m)]
+        allocs = [Allocation(o) for o in product(*options)]
+        support = rng.sample(allocs, rng.randint(1, min(6, len(allocs))))
+        weights = [Fraction(rng.randint(1, 9), rng.randint(1, 12)) for _ in support]
+        total = sum(weights)
+        dist = AllocationDistribution.from_map(
+            inst, {a: w / total for a, w in zip(support, weights)})
+        counts, scale = marginal_counts(dist)
+        assert scale == math.lcm(*(p.denominator for _, p in dist))
+        assert [[Fraction(c, scale) for c in row] for row in counts] == \
+            [list(row) for row in _reference_marginals(dist).p]
+        _assert_same_marginals(dist)
+
+
+def test_marginals_match_fraction_sums_on_every_mechanism_over_grid():
+    # every 0..3 bid profile at 2x3, zero columns (discarded items) included
+    inst = Instance(((1, 1, 1), (1, 1, 1)))
+    mechs = [get_mechanism(name) for name in MECHANISM_NAMES]
+    for flat in product(range(4), repeat=6):
+        bids = BidProfile((flat[:3], flat[3:]))
+        for mech in mechs:
+            _assert_same_marginals(mech.run(inst, bids))
 
 
 def test_priority_order():

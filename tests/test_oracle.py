@@ -80,6 +80,62 @@ def test_frontier_under_explicit_values():
     assert len(front) == 4
 
 
+def _reference_pareto_frontier(instance, bids=None, *, values=None, max_nodes=None):
+    """The all-pairs frontier that the distinct-vector test replaced."""
+    if values is None:
+        values = instance.utilities
+    allocs = enumerate_allocations(instance, bids, max_nodes=max_nodes)
+    vectors = [utility_vector(a, values) for a in allocs]
+    out = []
+    for i, va in enumerate(vectors):
+        dominated = False
+        for vb in vectors:
+            if vb != va and all(x >= y for x, y in zip(vb, va)):
+                dominated = True
+                break
+        if not dominated:
+            out.append(allocs[i])
+    return out
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2)])
+def test_frontier_matches_all_pairs_reference_on_exhaustive_grids(n, m):
+    for inst in _grid_instances(n, m):
+        assert pareto_frontier(inst) == _reference_pareto_frontier(inst)
+
+
+def _seeded_fraction_cases(count):
+    rng = random.Random(20200629)
+    for _ in range(count):
+        n, m = rng.randint(2, 3), rng.randint(1, 4)
+        utilities = [[Fraction(rng.randint(0, 2), rng.randint(1, 2)) for _ in range(m)]
+                     for _ in range(n)]
+        for j in range(m):
+            utilities[rng.randrange(n)][j] += 1
+        bids = utilities
+        while bids == utilities:
+            bids = [[Fraction(rng.randint(0, 2), rng.randint(1, 2)) for _ in range(m)]
+                    for _ in range(n)]
+            for j in range(m):
+                if rng.random() < 0.25:
+                    for row in bids:
+                        row[j] = 0
+        yield Instance(tuple(map(tuple, utilities))), BidProfile(tuple(map(tuple, bids)))
+
+
+def test_frontier_matches_all_pairs_reference_on_fractional_bids():
+    for inst, bids in _seeded_fraction_cases(150):
+        for values in (None, bids.bids):
+            assert (pareto_frontier(inst, bids, values=values)
+                    == _reference_pareto_frontier(inst, bids, values=values))
+
+
+def test_enumeration_is_in_canonical_order():
+    for inst, bids in _seeded_fraction_cases(150):
+        allocs = enumerate_allocations(inst, bids)
+        assert allocs == sorted(allocs, key=Allocation.sort_key)
+
+
 def test_is_pep_matches_frontier_membership():
     front = {a.owners for a in pareto_frontier(SWAP)}
     for alloc in enumerate_allocations(SWAP):
