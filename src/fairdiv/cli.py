@@ -304,6 +304,15 @@ def cmd_check(args) -> int:
 
 # --- falsify -----------------------------------------------------------
 
+# why a lie search's None is complete, per declared bid view
+_VIEW_REASONS = {
+    "signs": "reads only which bids are positive, and a zero and a positive bid were "
+             "tried on every item",
+    "tops": "reads only each item's top bidders, and a bid below, at and above the "
+            "others' top bid was tried on every item",
+}
+
+
 def cmd_falsify(args) -> int:
     instance = _resolve_instance(args)
     mech = _resolve_mechanism(args)
@@ -326,7 +335,12 @@ def cmd_falsify(args) -> int:
         }, indent=2))
         return EXIT_OK if found is None else EXIT_FAIL
     if found is None:
-        print(f"{args.property}: no witness found on the bid grid")
+        reason = _VIEW_REASONS.get(mech.view) if args.property in ("sp", "osp") else None
+        if reason is None:
+            print(f"{args.property}: no witness found on the bid grid")
+        else:
+            print(f"{args.property}: no witness: no profitable lie exists, since {mech.name} "
+                  f"{reason}")
         return EXIT_OK
     print(f"{args.property}: witness found{_witness_text(found.to_json())}")
     return EXIT_FAIL

@@ -121,6 +121,10 @@ class BidProfile:
     Unlike utilities, a bid column may be all zero; mechanisms then discard
     the item. Bids are what mechanisms see, utilities are what welfare and
     envy are measured with.
+
+    Every profile holds a validated matrix. The constructor validates all
+    of it; `sincere` reuses the instance's validated rows, and
+    `replace_row` and `replace_bid` validate only the row they swap in.
     """
 
     bids: tuple[tuple[Value, ...], ...]
@@ -129,8 +133,16 @@ class BidProfile:
         object.__setattr__(self, "bids", _exact_matrix(self.bids, "bid matrix"))
 
     @classmethod
+    def _validated(cls, rows: tuple[tuple[Value, ...], ...]) -> "BidProfile":
+        """A profile over rows that are already exact, nonnegative and of
+        equal length, built without checking them again."""
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "bids", rows)
+        return profile
+
+    @classmethod
     def sincere(cls, instance: Instance) -> "BidProfile":
-        return cls(instance.utilities)
+        return cls._validated(instance.utilities)
 
     @property
     def n(self) -> int:
@@ -158,7 +170,11 @@ class BidProfile:
         new_row = tuple(as_value(x) for x in row)
         if len(new_row) != self.m:
             raise ValueError("replacement row has wrong length")
-        return BidProfile(tuple(new_row if i == agent else r for i, r in enumerate(self.bids)))
+        for x in new_row:
+            if x < 0:
+                raise ValueError(f"bid matrix entries must be nonnegative, got {format_value(x)}")
+        return BidProfile._validated(
+            tuple(new_row if i == agent else r for i, r in enumerate(self.bids)))
 
     def replace_bid(self, agent: int, item: int, value: object) -> "BidProfile":
         row = list(self.bids[agent])

@@ -16,7 +16,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import ClassVar, Iterable, Optional, Sequence, Union
 
 from .core import (
     Allocation,
@@ -253,12 +253,15 @@ class ConstructedMechanism:
 
     Each override pairs an observed bid matrix with a fixed distribution to
     return instead of running the base mechanism. Matching is on the bids
-    alone, which is all a mechanism can see.
+    alone, which is all a mechanism can see. It is on the exact bids, so
+    the mechanism's bid view (see `Mechanism.view`) is "bids" whatever the
+    base's is.
     """
 
     name: str
     base: Mechanism
     overrides: tuple[tuple[tuple[tuple[Value, ...], ...], AllocationDistribution], ...]
+    view: ClassVar[str] = "bids"
 
     def __post_init__(self) -> None:
         for mat, dist in self.overrides:

@@ -59,8 +59,9 @@ class RuleInvariantError(FairDivError):
     """A rule produced a feasible set inconsistent with the bids.
 
     Raised when a rule returns no agent for an item somebody bid for, or an
-    agent for an item nobody bid for. Signals a bug in the rule, not bad
-    input.
+    agent for an item nobody bid for, and when a mechanism declared to read
+    only bid signs is seen to react to a bid's size. Signals a bug in the
+    rule, not bad input.
     """
 
 
@@ -461,17 +462,33 @@ def _orp_counts(instance: Instance, bids: Optional[BidProfile],
     return counts, fact
 
 
+#: What a mechanism's outcome can depend on, per item column of the bids:
+#: "signs", which bids are positive; "tops", which bidders bid the column's
+#: positive maximum; "bids", the bid values themselves.
+VIEWS = ("signs", "tops", "bids")
+
+
 @dataclass(frozen=True)
 class Mechanism:
     """A named mapping from (instance, bids) to an allocation distribution.
 
     ``counter`` gives the same outcome's item marginals in integer form,
     for the questions that need nothing else (see `item_counts`).
+
+    ``view`` declares what the outcome reads of the bids (see `VIEWS`):
+    two bid profiles that agree on it, column by column, must give the
+    same distribution. The deviation searches rely on it to try one lie
+    per reachable view; "bids", the default, claims nothing.
     """
 
     name: str
     runner: Callable[[Instance, Optional[BidProfile], Optional[int]], AllocationDistribution]
     counter: Callable[[Instance, Optional[BidProfile], Optional[int]], tuple[ItemCounts, int]]
+    view: str = "bids"
+
+    def __post_init__(self) -> None:
+        if self.view not in VIEWS:
+            raise ValueError(f"unknown bid view {self.view!r}; expected one of {', '.join(VIEWS)}")
 
     def run(self, instance: Instance, bids: Optional[BidProfile] = None, *,
             max_nodes: Optional[int] = None) -> AllocationDistribution:
@@ -485,7 +502,8 @@ class Mechanism:
         return self.counter(instance, bids, max_nodes)
 
 
-def _rule_mechanism(name: str, make_rule: Callable[[Instance], FeasibilityRule]) -> Mechanism:
+def _rule_mechanism(name: str, make_rule: Callable[[Instance], FeasibilityRule],
+                    view: str) -> Mechanism:
     def run(instance, bids, max_nodes):
         return allocate(make_rule(instance), instance, bids, max_nodes=max_nodes)
 
@@ -495,7 +513,7 @@ def _rule_mechanism(name: str, make_rule: Callable[[Instance], FeasibilityRule])
                                    keep_owners=False)
         return counts, scale
 
-    return Mechanism(name, run, count)
+    return Mechanism(name, run, count, view)
 
 
 def osd(order: PriorityOrder | Sequence[int] | None = None) -> Mechanism:
@@ -509,30 +527,31 @@ def osd(order: PriorityOrder | Sequence[int] | None = None) -> Mechanism:
             raise ValueError("priority order length differs from agent count")
         return OsdRule(o)
 
-    return _rule_mechanism("osd", rule)
+    return _rule_mechanism("osd", rule, "signs")
 
 
 def orp() -> Mechanism:
     def run(instance, bids, max_nodes):
         return orp_distribution(instance, bids, max_nodes=max_nodes)
 
-    return Mechanism("orp", run, _orp_counts)
+    return Mechanism("orp", run, _orp_counts, "signs")
 
 
 def like() -> Mechanism:
-    return _rule_mechanism("like", lambda _: LikeRule())
+    return _rule_mechanism("like", lambda _: LikeRule(), "signs")
 
 
 def balanced_like() -> Mechanism:
-    return _rule_mechanism("balanced-like", lambda _: BalancedLikeRule())
+    return _rule_mechanism("balanced-like", lambda _: BalancedLikeRule(), "signs")
 
 
 def maximum_like() -> Mechanism:
-    return _rule_mechanism("maximum-like", lambda _: MaximumLikeRule())
+    return _rule_mechanism("maximum-like", lambda _: MaximumLikeRule(), "tops")
 
 
 def pareto_like() -> Mechanism:
-    return _rule_mechanism("pareto-like", lambda _: ParetoLikeRule())
+    # the Pareto levels compare bid sums, so the sizes matter
+    return _rule_mechanism("pareto-like", lambda _: ParetoLikeRule(), "bids")
 
 
 def get_mechanism(name: str, *, sigma: PriorityOrder | Sequence[int] | None = None) -> Mechanism:

@@ -1,11 +1,9 @@
 """Deviation search: manipulability falsifiers and behavioral probes.
 
-All searches are deterministic. Candidate bids come from a finite grid
-built from the values already in the instance plus a value below the
-smallest positive entry and one above the largest, which is enough to
-shift any threshold comparison a mechanism in this family can make.
-Finding a deviation proves manipulability; finding none is evidence
-bounded by the grid, which is how the falsifiers are meant to be read.
+All searches are deterministic and draw candidate bids from `BidGrid`.
+Finding a deviation proves manipulability. Finding none proves that no
+lie pays when `Mechanism.view` is "signs" or "tops" (see `_view_menu`),
+and is evidence bounded by the grid otherwise.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import (
     BidProfile,
@@ -23,7 +21,7 @@ from .core import (
     as_value,
     format_value,
 )
-from .mechanisms import Mechanism
+from .mechanisms import Mechanism, RuleInvariantError
 
 DEFAULT_MAX_CANDIDATES = 10**6
 
@@ -105,13 +103,56 @@ def _true_value(counts: Sequence[Sequence[int]], scale: int, agent: int,
     return as_value(Fraction(total, scale))
 
 
+def _view_menu(view: str, menu: tuple[Value, ...], instance: Instance,
+               agent: int, item: int) -> tuple[Value, ...]:
+    """``agent``'s grid bids for ``item`` that reach every view of its
+    column the agent can reach while the others bid sincerely: 0 and the
+    smallest positive bid for "signs"; 0, the others' top bid M and the
+    next bid above M for "tops" (as "signs" when M is 0); all for "bids"."""
+    if view == "bids":
+        return menu
+    top = max((row[item] for i, row in enumerate(instance.utilities) if i != agent),
+              default=0)
+    if view == "signs" or top == 0:
+        keep = (0, next(x for x in menu if x > 0))
+    else:
+        keep = (0, top, next(x for x in menu if x > top))
+    return tuple(x for x in menu if x in keep)
+
+
+def _first_lie(menus: Sequence[tuple[Value, ...]], reduced: Sequence[tuple[Value, ...]],
+               sincere_row: tuple[Value, ...], value: Callable[[tuple[Value, ...]], Value],
+               baseline: Value) -> Optional[tuple[tuple[Value, ...], Value]]:
+    """The first row of ``menus``' product, other than ``sincere_row``,
+    whose ``value`` beats ``baseline``, with that value; or None.
+
+    The product of ``reduced``, sub-menus that reach every outcome, runs
+    first, and the grid only when it finds a lie: the same first row,
+    and the same point where a work bound trips, as the grid alone.
+    """
+    def scan(ms):
+        for row in itertools.product(*ms):
+            if row != sincere_row:
+                v = value(row)
+                if v > baseline:
+                    return row, v
+        return None
+
+    if reduced != menus and scan(reduced) is None:
+        return None
+    return scan(menus)
+
+
 def sp_falsify(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = None, *,
                max_candidates: int = DEFAULT_MAX_CANDIDATES,
                max_nodes: Optional[int] = None) -> Optional[Deviation]:
     """Search whole-row lies for one that raises the liar's expected utility.
 
     Agents are tried in ascending order and rows in lexicographic grid
-    order, so the first deviation found is deterministic.
+    order, so the first deviation found is deterministic. None covers
+    every nonnegative rational row for a "signs" or "tops" mechanism and
+    every grid row for "bids". ``max_candidates`` bounds each agent's grid
+    rows, whichever rows run.
     """
     grid = grid or BidGrid()
     u = instance.utilities
@@ -126,15 +167,18 @@ def sp_falsify(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = No
             raise WorkBoundExceeded(
                 f"{count} candidate rows for agent {agent + 1} exceed {max_candidates}"
             )
-        baseline = _true_value(*base, agent, u)
-        for row in itertools.product(*menus):
-            if row == u[agent]:
-                continue
+        reduced = [_view_menu(mech.view, menu, instance, agent, j)
+                   for j, menu in enumerate(menus)]
+
+        def value(row):
             counts = mech.item_counts(instance, sincere.replace_row(agent, row),
                                       max_nodes=max_nodes)
-            value = _true_value(*counts, agent, u)
-            if value > baseline:
-                return Deviation(agent, row, None, baseline, value)
+            return _true_value(*counts, agent, u)
+
+        baseline = _true_value(*base, agent, u)
+        found = _first_lie(menus, reduced, u[agent], value, baseline)
+        if found is not None:
+            return Deviation(agent, found[0], None, baseline, found[1])
     return None
 
 
@@ -146,6 +190,7 @@ def osp_falsify(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = N
     comparison is over expected true utility from the items up to and
     including j. Lies that sacrifice now to gain later are invisible here
     on purpose; this captures manipulations that are obvious as played.
+    None reads as in `sp_falsify`.
     """
     grid = grid or BidGrid()
     u = instance.utilities
@@ -154,16 +199,19 @@ def osp_falsify(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = N
         sincere = BidProfile.sincere(prefix)
         base = mech.item_counts(prefix, max_nodes=max_nodes)
         for agent in range(instance.n):
-            baseline = _true_value(*base, agent, prefix.utilities)
-            for bid in grid.values(instance, agent, item):
-                if bid == u[agent][item]:
-                    continue
-                bids = sincere.replace_bid(agent, item, bid)
+            menu = grid.values(instance, agent, item)
+            reduced = _view_menu(mech.view, menu, instance, agent, item)
+
+            def value(row):
+                bids = sincere.replace_bid(agent, item, row[0])
                 counts = mech.item_counts(prefix, bids, max_nodes=max_nodes)
-                value = _true_value(*counts, agent, prefix.utilities)
-                if value > baseline:
-                    row = u[agent][:item] + (bid,) + u[agent][item + 1:]
-                    return Deviation(agent, row, item, baseline, value)
+                return _true_value(*counts, agent, prefix.utilities)
+
+            baseline = _true_value(*base, agent, prefix.utilities)
+            found = _first_lie([menu], [reduced], (u[agent][item],), value, baseline)
+            if found is not None:
+                row = u[agent][:item] + found[0] + u[agent][item + 1:]
+                return Deviation(agent, row, item, baseline, found[1])
     return None
 
 
@@ -173,6 +221,8 @@ def step_probe(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = No
 
     Replaces one positive sincere bid with another positive grid value and
     reports the first replacement that changes the output distribution.
+    Raises RuleInvariantError when it finds one for a mechanism declared
+    to read only bid signs.
     """
     grid = grid or BidGrid()
     sincere = BidProfile.sincere(instance)
@@ -187,6 +237,12 @@ def step_probe(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = No
                 dist = mech.run(instance, sincere.replace_bid(agent, item, bid),
                                 max_nodes=max_nodes)
                 if dist.entries != base.entries:
+                    if mech.view == "signs":
+                        raise RuleInvariantError(
+                            f"{mech.name}: declared to read only bid signs, but bid "
+                            f"{format_value(bid)} by agent {agent + 1} on item {item + 1} "
+                            f"changed the outcome"
+                        )
                     return ProbeWitness(agent, item, bid)
     return None
 

@@ -1,5 +1,6 @@
 """End-to-end command line behavior, driven in process through main()."""
 
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -179,6 +180,26 @@ def test_falsify_exit_codes(capsys):
             assert "no witness" in out
 
 
+def test_falsify_text_says_which_none(capsys, tmp_path):
+    # a "signs" or "tops" mechanism's None covers every lie; a "bids" one's the grid
+    code, out = run_cli(capsys, "falsify", "like", "--example", "1")
+    assert code == 0
+    assert out.startswith("sp: no witness: no profitable lie exists, since like reads "
+                          "only which bids are positive")
+    solo = tmp_path / "solo.txt"
+    solo.write_text("1 2\n1 2\n")
+    code, out = run_cli(capsys, "falsify", "maximum-like", "--instance", str(solo),
+                        "--property", "osp")
+    assert code == 0
+    assert "no profitable lie exists, since maximum-like reads only each item's top" in out
+    code, out = run_cli(capsys, "falsify", "pareto-like", "--example", "3")
+    assert (code, out) == (0, "sp: no witness found on the bid grid\n")
+    code, out = run_cli(capsys, "falsify", "like", "--example", "1", "--property", "step")
+    assert (code, out) == (0, "step: no witness found on the bid grid\n")
+    code, payload = run_json(capsys, "falsify", "like", "--example", "1", "--json")
+    assert (code, payload) == (0, {"mechanism": "like", "property": "sp", "witness": None})
+
+
 def test_falsify_json_witness(capsys):
     code, payload = run_json(capsys, "falsify", "maximum-like",
                              "--example", "1", "--json")
@@ -321,3 +342,18 @@ def test_work_bound_env_and_flag(capsys, monkeypatch):
     code, _ = run_cli(capsys, "run", "like", "--example", "1",
                       "--max-nodes", "100")
     assert code == 0
+
+
+def test_table_and_theorems_json_bytes_are_pinned(capsys):
+    # the verdict table and theorems output must not move under a speed-up;
+    # a deliberate output change updates these digests and says so
+    pins = {
+        ("table", "--json", "--per-block", "20"):
+            "20cdcc8d54c9162e3f2926449ef376e9cf5f344ef7de8f12c66ae0de06493a19",
+        ("theorems", "--json"):
+            "ffa9bc94a04d98c4c97835cbb3da4a200683afa7535d323a7256485002aac80b",
+    }
+    for argv, digest in pins.items():
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv

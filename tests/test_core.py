@@ -87,6 +87,41 @@ def test_bid_profile_replacements():
         bids.replace_row(5, (1, 1))
 
 
+def test_bid_profile_rejects_bad_entries():
+    with pytest.raises(ValueError, match="^bid matrix entries must be nonnegative, got -1$"):
+        BidProfile(((1, -1), (2, 1)))
+    bids = BidProfile.sincere(Instance(((1, 2), (2, 1))))
+    with pytest.raises(ValueError, match="^bid matrix entries must be nonnegative, got -1/2$"):
+        bids.replace_row(1, (1, Fraction(-1, 2)))
+    with pytest.raises(ValueError, match="^bid matrix entries must be nonnegative, got -1$"):
+        bids.replace_bid(0, 1, -1)
+    with pytest.raises(TypeError, match="^expected int or Fraction, got float$"):
+        bids.replace_row(0, (1, 0.5))
+    with pytest.raises(TypeError, match="^bool is not a utility value$"):
+        bids.replace_row(0, (True, 1))
+    with pytest.raises(TypeError):
+        bids.replace_bid(1, 0, 2.0)
+    with pytest.raises(ValueError, match="^replacement row has wrong length$"):
+        bids.replace_row(0, (1, 2, 3))
+    with pytest.raises(ValueError, match="^agent out of range$"):
+        bids.replace_bid(-1, 0, 1)
+    with pytest.raises(IndexError):  # indexes the row before replace_row's range check
+        bids.replace_bid(2, 0, 1)
+    # a rejected replacement leaves the profile as it was
+    assert bids.bids == ((1, 2), (2, 1))
+
+
+def test_bid_profile_replacements_equal_fresh_profiles():
+    inst = Instance(((1, Fraction(3, 2)), (2, 0)))
+    bids = BidProfile.sincere(inst)
+    assert bids == BidProfile(inst.utilities)
+    assert hash(bids) == hash(BidProfile(inst.utilities))
+    swapped = bids.replace_row(1, (Fraction(4, 2), Fraction(1, 3)))
+    assert swapped == BidProfile(((1, Fraction(3, 2)), (2, Fraction(1, 3))))
+    assert type(swapped.bid(1, 0)) is int  # exact values stay normalized
+    assert bids.replace_bid(0, 0, Fraction(6, 3)).bids == ((2, Fraction(3, 2)), (2, 0))
+
+
 def test_allocation_bundles_and_rendering():
     alloc = Allocation((0, None, 1))
     assert alloc.m == 3

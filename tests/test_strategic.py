@@ -1,6 +1,7 @@
 """Deviation searches and behavioral probes, with re-simulated witnesses."""
 
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,9 @@ from fairdiv import (
     Deviation,
     Instance,
     MECHANISM_NAMES,
+    Mechanism,
     ProbeWitness,
+    RuleInvariantError,
     WorkBoundExceeded,
     as_value,
     balanced_like,
@@ -31,6 +34,7 @@ from fairdiv import (
     step_probe,
     worked_example,
 )
+from fairdiv.strategic import _view_menu
 from test_mechanisms import reference_run, seeded_cases
 
 SWAP = Instance(((1, 2), (2, 1)))
@@ -312,3 +316,204 @@ def test_searches_match_references_on_fractional_instances():
     assert any(isinstance(x, Fraction) for inst in instances for row in inst.utilities
                for x in row)
     assert _assert_searches_match(instances) > 400
+
+
+# --- view menus against the whole grid ------------------------------------
+#
+# `sp_falsify` and `osp_falsify` settle a "signs" or "tops" mechanism's
+# search units on one bid per reachable view (`Mechanism.view`) and rerun
+# the grid only when a lie turns up. The tests below check the declared
+# views themselves, then hold both searches to the grid-only loops they
+# replaced, which read the same integer item marginals.
+
+VIEW_MECHANISMS = ("osd", "orp", "like", "balanced-like", "maximum-like")
+
+
+def test_declared_views():
+    views = {name: get_mechanism(name).view for name in MECHANISM_NAMES}
+    assert views == {"osd": "signs", "orp": "signs", "like": "signs",
+                     "balanced-like": "signs", "maximum-like": "tops",
+                     "pareto-like": "bids"}
+    assert osd((1, 0)).view == "signs"
+    _, mech = worked_example(2)
+    assert mech.base.view == "signs" and mech.view == "bids"
+    assert Mechanism("hand-built", like().runner, like().counter).view == "bids"
+    with pytest.raises(ValueError):
+        Mechanism("hand-built", like().runner, like().counter, "sizes")
+
+
+def _redraw_signs(bids):
+    """Every positive bid moved to another positive value."""
+    return tuple(tuple(x % 3 + 1 if x else 0 for x in row) for row in bids)
+
+
+def _redraw_tops(bids):
+    """Each column's top set kept, every other bid redrawn below the top
+    (some positives become zero, and the reverse)."""
+    cols = []
+    for col in zip(*bids):
+        top = max(col)
+        cols.append(tuple(0 if top == 0 else 3 if x == top else (x + 1) % 3
+                          for x in col))
+    return tuple(zip(*cols))
+
+
+def _outcome(mech, instance, bids):
+    counts, scale = mech.item_counts(instance, bids)
+    return (mech.run(instance, bids).entries,
+            tuple(tuple(Fraction(c, scale) for c in row) for row in counts))
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3)])
+def test_outcomes_depend_only_on_the_declared_view(n, m):
+    instance = Instance(((1,) * m,) * n)
+    redraw = {"signs": _redraw_signs, "tops": _redraw_tops}
+    moved = 0
+    for flat in itertools.product(range(4), repeat=n * m):
+        bids = tuple(tuple(flat[i * m:(i + 1) * m]) for i in range(n))
+        for name in VIEW_MECHANISMS:
+            mech = get_mechanism(name)
+            other = redraw[mech.view](bids)
+            moved += other != bids
+            assert (_outcome(mech, instance, BidProfile(bids))
+                    == _outcome(mech, instance, BidProfile(other))), (name, bids, other)
+    assert moved > 4**(n * m) * len(VIEW_MECHANISMS) * 3 // 4
+
+
+def _column_view(view, column):
+    if view == "signs":
+        return tuple(x > 0 for x in column)
+    top = max(column)
+    return frozenset(i for i, x in enumerate(column) if x == top and top > 0)
+
+
+def test_view_menus_reach_every_view_the_grid_reaches():
+    # maximum-like alone cannot show a missing tie bid: another lie always
+    # pays at least as much, so the menus are checked view by view
+    instances = list(_grid_instances(2, 3))[::7] + [inst for inst, _ in seeded_cases(40, 7)]
+    grids = (BidGrid(), BidGrid(extra=(Fraction(5, 3), 9)))
+    for inst, grid, view in itertools.product(instances, grids, ("signs", "tops")):
+        for agent, item in itertools.product(range(inst.n), range(inst.m)):
+            menu = grid.values(inst, agent, item)
+            reduced = _view_menu(view, menu, inst, agent, item)
+            assert set(reduced) <= set(menu) and len(reduced) <= 3
+
+            def views(bids):
+                col = list(inst.column(item))
+                return {_column_view(view, col[:agent] + [b] + col[agent + 1:]) for b in bids}
+
+            assert views(reduced) == views(menu), (view, inst, agent, item)
+            assert len(views(reduced)) == len(reduced)
+    assert _view_menu("bids", menu, inst, agent, item) == menu
+
+
+def test_sign_view_is_guarded_by_the_step_probe():
+    maximum = maximum_like()
+    fake = Mechanism("fake-signs", maximum.runner, maximum.counter, "signs")
+    with pytest.raises(RuleInvariantError, match="fake-signs: declared to read only bid signs"):
+        step_probe(fake, SWAP)
+    with pytest.raises(RuleInvariantError):
+        classify(fake, [("swap", SWAP)])
+    # a true sign rule passes, and a "tops" rule reports its witness
+    assert step_probe(like(), SWAP) is None
+    assert step_probe(maximum, SWAP) == ProbeWitness(0, 0, 2)
+
+
+def _grid_counts(mech, max_nodes=None, memo=None):
+    """Item marginals per bid matrix, memoized over a whole test when
+    ``memo`` is a dict: a mechanism sees the bids alone."""
+    def counts(instance, rows):
+        result = None if memo is None else memo.get(rows)
+        if result is None:
+            result = mech.item_counts(instance, BidProfile(rows), max_nodes=max_nodes)
+            if memo is not None:
+                memo[rows] = result
+        return result
+    return counts
+
+
+def _first_gain(counts, instance, agent, rows):
+    """The first of ``rows`` (whole bid matrices) that gives ``agent`` more
+    true utility than sincere bidding, with the two utilities; None when
+    none does. Utilities compare by cross-multiplying (counts, L) pairs."""
+    u = instance.utilities
+    base, b_scale = counts(instance, u)
+    b_total = sum(map(operator.mul, base[agent], u[agent]))
+    for bids in rows:
+        got, scale = counts(instance, bids)
+        total = sum(map(operator.mul, got[agent], u[agent]))
+        if total * b_scale > b_total * scale:
+            return bids, as_value(Fraction(b_total, b_scale)), as_value(Fraction(total, scale))
+    return None
+
+
+def grid_sp(counts, instance, grid=BidGrid()):
+    """`sp_falsify`'s loop before view menus: every grid row, in order."""
+    u = instance.utilities
+    for agent in range(instance.n):
+        menus = [grid.values(instance, agent, j) for j in range(instance.m)]
+        rows = (u[:agent] + (row,) + u[agent + 1:]
+                for row in itertools.product(*menus) if row != u[agent])
+        found = _first_gain(counts, instance, agent, rows)
+        if found is not None:
+            return Deviation(agent, found[0][agent], None, found[1], found[2])
+    return None
+
+
+def grid_osp(counts, instance, grid=BidGrid()):
+    """`osp_falsify`'s loop before view menus: every grid bid, in order."""
+    u = instance.utilities
+    for item in range(instance.m):
+        prefix = instance.prefix(item + 1)
+        head = prefix.utilities
+        for agent in range(instance.n):
+            rows = (head[:agent] + (head[agent][:item] + (bid,),) + head[agent + 1:]
+                    for bid in grid.values(instance, agent, item) if bid != u[agent][item])
+            found = _first_gain(counts, prefix, agent, rows)
+            if found is not None:
+                row = u[agent][:item] + (found[0][agent][item],) + u[agent][item + 1:]
+                return Deviation(agent, row, item, found[1], found[2])
+    return None
+
+
+@pytest.mark.parametrize("name", VIEW_MECHANISMS)
+def test_view_searches_match_the_grid_on_the_whole_2x3_grid(name):
+    # pareto-like reads the bids themselves, so its searches run the grid
+    # loop alone; the reference tests above cover it
+    mech = get_mechanism(name)
+    counts = _grid_counts(mech, memo={})
+    found = 0
+    for inst in _grid_instances(2, 3):
+        got = sp_falsify(mech, inst)
+        assert got == grid_sp(counts, inst), ("sp", inst)
+        found += got is not None
+        got = osp_falsify(mech, inst)
+        assert got == grid_osp(counts, inst), ("osp", inst)
+        found += got is not None
+    assert found >= {"balanced-like": 1000, "maximum-like": 6000}.get(name, 0)
+
+
+def _outcome_or_bound(search, *args, **kwargs):
+    try:
+        return search(*args, **kwargs)
+    except WorkBoundExceeded:
+        return "bound"
+
+
+def test_view_searches_hit_the_work_bound_where_the_grid_does():
+    binary = [Instance(rows) for rows in itertools.product(
+        itertools.product((0, 1), repeat=3), repeat=3)
+        if all(any(r[j] for r in rows) for j in range(3))]
+    instances = list(_grid_instances(2, 3))[::25] + binary[::3]
+    bounded = 0
+    for name in VIEW_MECHANISMS:
+        mech = get_mechanism(name)
+        for max_nodes in (1, 2, 4):
+            counts = _grid_counts(mech, max_nodes)
+            for inst in instances:
+                for search, reference in ((sp_falsify, grid_sp), (osp_falsify, grid_osp)):
+                    got = _outcome_or_bound(search, mech, inst, max_nodes=max_nodes)
+                    assert got == _outcome_or_bound(reference, counts, inst), (
+                        search.__name__, name, max_nodes, inst)
+                    bounded += got == "bound"
+    assert bounded > 1000
