@@ -10,10 +10,24 @@ Checkers return an AxiomVerdict carrying the boolean, a slack margin where
 one is meaningful, and a concrete witness when the axiom fails. Agent and
 item indices are 0-based in the dataclasses and rendered 1-based in
 ``to_json``, matching the command line convention.
+
+Every check computes on integers. It puts the judged utility matrix on one
+scale D, the lcm of its denominators (`integer_rows`; for an envy bound, of
+the bound's too). The ex post checks build each support allocation's n x n
+bundle values in one pass over its owners. The ex ante checks read the
+distribution's integer marginals over L (`marginal_counts`) and compare
+cross-values over L * D; prefix-efa reads the first j columns of the same
+marginals, since an item's marginal does not depend on later items. pep
+compares each support vector with the last of the Pareto levels
+(`maximal_levels`) of the judged utilities used as bids, and enumerates
+allocations only to name its witness. Fractions are built only for the
+margin and the witness a verdict returns, so every verdict equals the one
+exact rational arithmetic gives.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -26,13 +40,13 @@ from .core import (
     Instance,
     Value,
     as_value,
-    bundle_utility,
-    expected_utilities,
     format_value,
+    integer_rows,
+    marginal_counts,
     marginals,
 )
-from .mechanisms import Mechanism
-from .oracle import LPSolution, dominates, enumerate_allocations, pea_solution, utility_vector
+from .mechanisms import Mechanism, maximal_levels
+from .oracle import LPSolution, check_enumeration_bound, enumerate_allocations, pea_solution
 
 Utilities = tuple[tuple[Value, ...], ...]
 UtilitiesLike = Union[Instance, Sequence[Sequence[Value]]]
@@ -127,39 +141,67 @@ class AxiomVerdict:
         }
 
 
-def _envy_verdict(axiom: str, triples) -> AxiomVerdict:
-    """Fold (witness, own, others) comparisons into a min-margin verdict."""
-    margin: Optional[Value] = None
-    worst: Optional[EnvyWitness] = None
-    for witness, own, others in triples:
-        gap = as_value(own - others)
-        if margin is None or gap < margin:
-            margin = gap
-            worst = witness
-    if margin is None:
+def _value(x: int, scale: int) -> Value:
+    return as_value(Fraction(x, scale))
+
+
+def _envy_verdict(axiom: str, worst: Optional[tuple], scale: int) -> AxiomVerdict:
+    """The verdict from the worst ``(gap, allocation, agent, rival, own,
+    others)`` comparison, every number over ``scale``; None when nothing
+    was compared."""
+    if worst is None:
         return AxiomVerdict(axiom, True, None, None)
-    if margin >= 0:
+    gap, alloc, i, k, own, others = worst
+    margin = _value(gap, scale)
+    if gap >= 0:
         return AxiomVerdict(axiom, True, margin, None)
-    return AxiomVerdict(axiom, False, margin, worst)
+    witness = EnvyWitness(alloc, i, k, _value(own, scale), _value(others, scale))
+    return AxiomVerdict(axiom, False, margin, witness)
+
+
+def _ex_post(axiom: str, dist: AllocationDistribution, u: Utilities, *,
+             bound: Value = 0, strong: bool = False) -> AxiomVerdict:
+    """Smallest ``own + bound - others`` over every ordered pair of agents
+    in every support allocation, the first smallest as the witness.
+
+    ``own`` is agent i's value for its bundle; with ``strong`` only for the
+    items of it that the rival values positively. Each allocation's n x n
+    bundle values are built in one pass over its owners.
+    """
+    scaled, scale = integer_rows(u, bound.denominator)
+    slack = bound.numerator * (scale // bound.denominator)
+    n = dist.n
+    worst = None
+    for alloc, _ in dist:
+        held = [[0] * n for _ in range(n)]  # held[i][k]: i's value for k's bundle
+        if strong:  # liked[i][k]: i's value for its items k likes
+            liked = [[0] * n for _ in range(n)]
+        for j, o in enumerate(alloc.owners):
+            if o is None:
+                continue
+            for i in range(n):
+                held[i][o] += scaled[i][j]
+            if strong:
+                x = scaled[o][j]
+                for k in range(n):
+                    if scaled[k][j] > 0:
+                        liked[o][k] += x
+        for i in range(n):
+            row = held[i]
+            for k in range(n):
+                if k == i:
+                    continue
+                own = liked[i][k] if strong else row[i]
+                gap = own + slack - row[k]
+                if worst is None or gap < worst[0]:
+                    worst = (gap, alloc, i, k, own, row[k])
+    return _envy_verdict(axiom, worst, scale)
 
 
 def check_efp(dist: AllocationDistribution,
               utilities: Optional[UtilitiesLike] = None) -> AxiomVerdict:
     """No agent envies another in any allocation the mechanism can output."""
-    u = _resolve_utilities(dist, utilities)
-    n = dist.n
-
-    def triples():
-        for alloc, _ in dist:
-            for i in range(n):
-                own = bundle_utility(alloc, i, i, u)
-                for k in range(n):
-                    if k == i:
-                        continue
-                    others = bundle_utility(alloc, i, k, u)
-                    yield EnvyWitness(alloc, i, k, own, others), own, others
-
-    return _envy_verdict("efp", triples())
+    return _ex_post("efp", dist, _resolve_utilities(dist, utilities))
 
 
 def check_sefp(dist: AllocationDistribution,
@@ -169,64 +211,87 @@ def check_sefp(dist: AllocationDistribution,
     Agent i only gets credit for items in its own bundle that agent k values
     positively, yet must still match its value for k's whole bundle.
     """
-    u = _resolve_utilities(dist, utilities)
-    n = dist.n
+    return _ex_post("sefp", dist, _resolve_utilities(dist, utilities), strong=True)
 
-    def triples():
-        for alloc, _ in dist:
-            for i in range(n):
-                for k in range(n):
-                    if k == i:
-                        continue
-                    own = as_value(sum(
-                        u[i][j] for j, owner in enumerate(alloc.owners)
-                        if owner == i and u[k][j] > 0
-                    ))
-                    others = bundle_utility(alloc, i, k, u)
-                    yield EnvyWitness(alloc, i, k, own, others), own, others
 
-    return _envy_verdict("sefp", triples())
+class _ExAnte:
+    """Integer item marginals and expected bundle values of a distribution.
+
+    ``counts`` and ``L`` come from `marginal_counts` and ``scaled`` and
+    ``D`` from `integer_rows`, so every expected value is an int over
+    ``scale = L * D``. `extend` adds one item to ``cross``, where
+    ``cross[i][k]`` is agent i's expected value for agent k's bundle over
+    the items added so far; an item's marginals do not depend on later
+    items, so after j items ``cross`` is that of the j-item prefix.
+    """
+
+    def __init__(self, dist: AllocationDistribution, u: Utilities) -> None:
+        self.counts, self.L = marginal_counts(dist)
+        self.scaled, d = integer_rows(u)
+        self.scale = self.L * d
+        self.n, self.m = dist.n, dist.m
+        self.cross = [[0] * self.n for _ in range(self.n)]
+
+    def extend(self, item: int) -> None:
+        # the column must sum to 0 or 1, as `AssignmentMatrix` requires
+        total = sum(row[item] for row in self.counts)
+        if total not in (0, self.L):
+            raise ValueError(f"column {item + 1} sums to {Fraction(total, self.L)}, "
+                             "expected 0 or 1")
+        for i, row in enumerate(self.cross):
+            x = self.scaled[i][item]
+            if x:
+                for k in range(self.n):
+                    row[k] += self.counts[k][item] * x
+
+    def checked(self) -> list[list[int]]:
+        """``cross``, once every value in it is nonnegative, as
+        `ExpectedUtilityMatrix` requires; only explicit negative utilities
+        can break this."""
+        for row in self.cross:
+            for x in row:
+                if x < 0:
+                    raise ValueError("expected utility matrix entries must be nonnegative, "
+                                     f"got {format_value(_value(x, self.scale))}")
+        return self.cross
+
+    def expected(self) -> list[list[int]]:
+        """``cross`` over every item, checked as the Fraction matrices it
+        replaces were: every column first, then every expected value."""
+        for j in range(self.m):
+            self.extend(j)
+        return self.checked()
+
+    def envy(self, axiom: str, own) -> AxiomVerdict:
+        """Smallest ``own(i, k) - cross[i][k]`` over ordered pairs."""
+        worst = None
+        for i in range(self.n):
+            for k in range(self.n):
+                if k == i:
+                    continue
+                mine = own(i, k)
+                gap = mine - self.cross[i][k]
+                if worst is None or gap < worst[0]:
+                    worst = (gap, None, i, k, mine, self.cross[i][k])
+        return _envy_verdict(axiom, worst, self.scale)
 
 
 def check_efa(dist: AllocationDistribution,
               utilities: Optional[UtilitiesLike] = None) -> AxiomVerdict:
     """No agent envies another's expected utility under the item marginals."""
-    u = _resolve_utilities(dist, utilities)
-    ubar = expected_utilities(marginals(dist), u)
-    n = dist.n
-
-    def triples():
-        for i in range(n):
-            own = ubar.entry(i, i)
-            for k in range(n):
-                if k == i:
-                    continue
-                others = ubar.entry(i, k)
-                yield EnvyWitness(None, i, k, own, others), own, others
-
-    return _envy_verdict("efa", triples())
+    ex = _ExAnte(dist, _resolve_utilities(dist, utilities))
+    cross = ex.expected()
+    return ex.envy("efa", lambda i, k: cross[i][i])
 
 
 def check_sefa(dist: AllocationDistribution,
                utilities: Optional[UtilitiesLike] = None) -> AxiomVerdict:
     """Ex ante envy-freeness with own expectations cut to the rival's likes."""
-    u = _resolve_utilities(dist, utilities)
-    p = marginals(dist)
-    ubar = expected_utilities(p, u)
-    n = dist.n
-
-    def triples():
-        for i in range(n):
-            for k in range(n):
-                if k == i:
-                    continue
-                own = as_value(sum(
-                    p.entry(i, j) * u[i][j] for j in range(dist.m) if u[k][j] > 0
-                ))
-                others = ubar.entry(i, k)
-                yield EnvyWitness(None, i, k, own, others), own, others
-
-    return _envy_verdict("sefa", triples())
+    ex = _ExAnte(dist, _resolve_utilities(dist, utilities))
+    ex.expected()
+    counts, scaled = ex.counts, ex.scaled
+    return ex.envy("sefa", lambda i, k: sum(
+        counts[i][j] * x for j, x in enumerate(scaled[i]) if scaled[k][j] > 0))
 
 
 def check_befp(dist: AllocationDistribution,
@@ -243,36 +308,49 @@ def check_envy_bounded(dist: AllocationDistribution,
                        bound: Value = 1, axiom: str = "envy-bounded") -> AxiomVerdict:
     """Ex post envy exceeds own utility by at most ``bound`` in every outcome."""
     u = _resolve_utilities(dist, utilities)
-    n = dist.n
-    b = as_value(bound)
+    return _ex_post(axiom, dist, u, bound=as_value(bound))
 
-    def triples():
-        for alloc, _ in dist:
-            for i in range(n):
-                own = bundle_utility(alloc, i, i, u)
-                for k in range(n):
-                    if k == i:
-                        continue
-                    others = bundle_utility(alloc, i, k, u)
-                    yield EnvyWitness(alloc, i, k, own, others), own + b, others
 
-    return _envy_verdict(axiom, triples())
+def _own_vector(owners: Sequence[Optional[int]], scaled: list[list[int]]) -> tuple[int, ...]:
+    acc = [0] * len(scaled)
+    for j, o in enumerate(owners):
+        if o is not None:
+            acc[o] += scaled[o][j]
+    return tuple(acc)
+
+
+def _dominates(va: tuple[int, ...], vb: tuple[int, ...]) -> bool:
+    return va != vb and all(map(operator.ge, va, vb))
 
 
 def check_pep(dist: AllocationDistribution,
               utilities: Optional[UtilitiesLike] = None, *,
               max_nodes: Optional[int] = None) -> AxiomVerdict:
-    """Every support allocation is Pareto optimal among non-wasteful ones."""
+    """Every support allocation is Pareto optimal among non-wasteful ones.
+
+    The non-wasteful allocations give each item to a positive bidder under
+    the judged utilities. A support allocation is dominated by one of them
+    exactly when it is dominated by a vector of the last of their Pareto
+    levels (`maximal_levels`), so only those are compared; the allocations
+    are enumerated only to name the witness, the first one in canonical
+    order that dominates the first dominated support allocation. The
+    enumeration's work bound is applied first, so `WorkBoundExceeded`
+    trips whether or not a witness is needed.
+    """
     u = _resolve_utilities(dist, utilities)
     bids = None if utilities is None else BidProfile(u)
-    candidates = enumerate_allocations(dist.instance, bids, max_nodes=max_nodes)
-    rivals = [(rival, utility_vector(rival, u)) for rival in candidates]
+    scaled, _ = integer_rows(u)
+    positives = tuple(tuple(i for i, row in enumerate(scaled) if row[j] > 0)
+                      for j in range(dist.m))
+    check_enumeration_bound(positives, max_nodes)
+    maximal = maximal_levels(scaled, positives)[-1]
+    efficient = set(maximal)  # no maximal vector dominates another
     for alloc, _ in dist:
-        own = utility_vector(alloc, u)
-        for rival, vector in rivals:
-            if dominates(vector, own):
-                witness = DominationWitness(alloc, rival)
-                return AxiomVerdict("pep", False, None, witness)
+        own = _own_vector(alloc.owners, scaled)
+        if own not in efficient and any(_dominates(v, own) for v in maximal):
+            candidates = enumerate_allocations(dist.instance, bids, max_nodes=max_nodes)
+            rival = next(r for r in candidates if _dominates(_own_vector(r.owners, scaled), own))
+            return AxiomVerdict("pep", False, None, DominationWitness(alloc, rival))
     return AxiomVerdict("pep", True, None, None)
 
 
@@ -286,7 +364,9 @@ def check_pea(dist: AllocationDistribution,
     """
     u = _resolve_utilities(dist, utilities)
     bids = None if utilities is None else BidProfile(u)
-    own = expected_utilities(marginals(dist), u).own()
+    ex = _ExAnte(dist, u)
+    cross = ex.expected()
+    own = tuple(_value(cross[i][i], ex.scale) for i in range(dist.n))
     sol = pea_solution(own, dist.instance, bids, values=u, max_nodes=max_nodes)
     if sol.objective == 0:
         return AxiomVerdict("pea", True, 0, None)
@@ -343,11 +423,17 @@ def efa_forced_marginals(instance: Instance) -> AssignmentMatrix:
 
 def check_prefix_efa(dist: AllocationDistribution,
                      utilities: Optional[UtilitiesLike] = None) -> AxiomVerdict:
-    """Envy-freeness ex ante holds after every prefix of the item sequence."""
-    u = _resolve_utilities(dist, utilities)
-    for upto in range(1, dist.m + 1):
-        sub = dist.prefix(upto)
-        verdict = check_efa(sub, tuple(row[:upto] for row in u))
+    """Envy-freeness ex ante holds after every prefix of the item sequence.
+
+    An item's marginals do not depend on later items, so the j-item
+    prefix is judged on the first j columns of the distribution's own
+    marginals; no prefix distribution is built.
+    """
+    ex = _ExAnte(dist, _resolve_utilities(dist, utilities))
+    for item in range(dist.m):
+        ex.extend(item)
+        cross = ex.checked()
+        verdict = ex.envy("prefix-efa", lambda i, k: cross[i][i])
         if not verdict.holds:
-            return AxiomVerdict("prefix-efa", False, verdict.margin, verdict.witness)
+            return verdict
     return AxiomVerdict("prefix-efa", True, None, None)

@@ -75,6 +75,19 @@ def _exact_matrix(rows: Iterable[Iterable[object]], what: str) -> tuple[tuple[Va
     return mat
 
 
+def integer_rows(rows: Sequence[Sequence[Value]], base: int = 1) -> tuple[list[list[int]], int]:
+    """The matrix on one integer scale: ``(scaled, D)``.
+
+    ``D`` is the lcm of ``base`` and every entry's denominator, and
+    ``scaled[i][j]`` is ``rows[i][j] * D`` as an int. Sums, differences and
+    comparisons of the scaled entries are those of the exact values, times
+    ``D``; pass a value's denominator as ``base`` to bring it onto the same
+    scale.
+    """
+    scale = math.lcm(base, *(x.denominator for row in rows for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
+
+
 @dataclass(frozen=True)
 class Instance:
     """n agents with additive utilities over m items, one row per agent.
@@ -177,6 +190,11 @@ class BidProfile:
             tuple(new_row if i == agent else r for i, r in enumerate(self.bids)))
 
     def replace_bid(self, agent: int, item: int, value: object) -> "BidProfile":
+        """A copy of the profile with one bid swapped out."""
+        if not 0 <= agent < self.n:
+            raise ValueError("agent out of range")
+        if not 0 <= item < self.m:
+            raise ValueError("item out of range")
         row = list(self.bids[agent])
         row[item] = value
         return self.replace_row(agent, row)

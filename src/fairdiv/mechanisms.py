@@ -50,6 +50,7 @@ from .core import (
     Value,
     WorkBoundExceeded,
     as_value,
+    integer_rows,
 )
 
 MECHANISM_NAMES = ("osd", "orp", "like", "balanced-like", "maximum-like", "pareto-like")
@@ -210,6 +211,32 @@ def _undominated(vectors: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return [v for idx, v in enumerate(distinct) if above[idx] == 1 << idx]
 
 
+def maximal_levels(scaled: Sequence[Sequence[int]], positives: tuple[tuple[int, ...], ...],
+                   ) -> list[list[tuple[int, ...]]]:
+    """The Pareto-maximal achievable vectors of every item prefix, on ints.
+
+    ``levels[j]`` holds the maximal vectors ``scaled`` gives over the first
+    j items, each item going to one of its positive bidders (or discarded
+    when it has none); ``levels[0]`` is the zero vector alone. Each level
+    grows the one before and drops what is dominated, which is exact: an
+    extension of a dominated prefix is dominated by the same extension of
+    its dominator. Levels are in descending order of (sum, vector).
+    """
+    level: list[tuple[int, ...]] = [tuple([0] * len(scaled))]
+    levels = [level]
+    for j, pos in enumerate(positives):
+        if pos:
+            grown = []
+            for v in level:
+                for i in pos:
+                    w = list(v)
+                    w[i] += scaled[i][j]
+                    grown.append(tuple(w))
+            level = _undominated(grown)
+        levels.append(level)
+    return levels
+
+
 def pareto_levels(bids: BidProfile, positives: tuple[tuple[int, ...], ...],
                   ) -> tuple[tuple[tuple[tuple[Value, ...], ...], ...],
                              tuple[frozenset, ...]]:
@@ -221,27 +248,15 @@ def pareto_levels(bids: BidProfile, positives: tuple[tuple[int, ...], ...],
     maximal prefix vector can lack any maximal extension, so the second
     family is what a rule must stay inside to never get stuck.
 
-    The bid matrix is first multiplied by the lcm of its denominators, so
-    every level is built and filtered on int tuples; dominance and the
-    look-ahead are unchanged by a positive scale. Both families come back
-    in bid units, each level in descending order of (sum, vector).
+    The bid matrix is first put on one integer scale (`integer_rows`), so
+    every level is built by `maximal_levels` and filtered on int tuples;
+    dominance and the look-ahead are unchanged by a positive scale. Both
+    families come back in bid units, each level in descending order of
+    (sum, vector).
     """
-    n, m = bids.n, bids.m
-    scale = math.lcm(*(b.denominator for row in bids.bids for b in row))
-    scaled = [[b.numerator * (scale // b.denominator) for b in row] for row in bids.bids]
-    levels: list[list[tuple[int, ...]]] = []
-    level: list[tuple[int, ...]] = [tuple([0] * n)]
-    for j in range(m):
-        pos = positives[j]
-        if pos:
-            grown = []
-            for v in level:
-                for i in pos:
-                    w = list(v)
-                    w[i] += scaled[i][j]
-                    grown.append(tuple(w))
-            level = _undominated(grown)
-        levels.append(level)
+    m = bids.m
+    scaled, scale = integer_rows(bids.bids)
+    levels = maximal_levels(scaled, positives)[1:]
     viable: list[frozenset] = [frozenset()] * m
     if m:
         viable[m - 1] = frozenset(levels[m - 1])

@@ -32,6 +32,7 @@ from .core import (
     Value,
     WorkBoundExceeded,
     as_value,
+    integer_rows,
 )
 
 
@@ -65,19 +66,25 @@ def enumerate_allocations(instance: Instance, bids: Optional[BidProfile] = None,
         bids = BidProfile.sincere(instance)
     if not bids.matches(instance):
         raise ValueError("bid profile shape differs from instance")
-    bound = DEFAULT_MAX_NODES if max_nodes is None else max_nodes
-    options: list[tuple[Optional[int], ...]] = []
-    count = 1
-    for j in range(instance.m):
-        pos = tuple(i for i in range(instance.n) if bids.bid(i, j) > 0)
-        opts = pos if pos else (None,)
-        count *= len(opts)
-        if count > bound:
-            raise WorkBoundExceeded(f"enumeration may exceed {bound} allocations")
-        options.append(opts)
+    positives = [tuple(i for i in range(instance.n) if bids.bid(i, j) > 0)
+                 for j in range(instance.m)]
+    check_enumeration_bound(positives, max_nodes)
     # product yields canonical order already: each item's options are in
     # ascending agent order, and None is only ever an item's sole option
-    return [Allocation(owners) for owners in product(*options)]
+    return [Allocation(owners) for owners in product(*(pos or (None,) for pos in positives))]
+
+
+def check_enumeration_bound(positives: Sequence[Sequence[int]],
+                            max_nodes: Optional[int] = None) -> None:
+    """Raise WorkBoundExceeded when the non-wasteful allocations over these
+    positive bidders (an item with none is discarded, one way) may exceed
+    ``max_nodes``, checked item by item as the product grows."""
+    bound = DEFAULT_MAX_NODES if max_nodes is None else max_nodes
+    count = 1
+    for pos in positives:
+        count *= len(pos) or 1
+        if count > bound:
+            raise WorkBoundExceeded(f"enumeration may exceed {bound} allocations")
 
 
 def dominates(va: Sequence[Value], vb: Sequence[Value]) -> bool:
@@ -214,8 +221,8 @@ def _simplex_maximize(c: Sequence[Value],
         if rhs < 0:
             entries = [-x for x in entries]
             rel = _FLIP[rel]
-        s = math.lcm(*(x.denominator for x in entries))
-        rows.append([x.numerator * (s // x.denominator) for x in entries])
+        (scaled,), s = integer_rows([entries])
+        rows.append(scaled)
         rels.append(rel)
         scales.append(s)
 
@@ -304,8 +311,8 @@ def _simplex_maximize(c: Sequence[Value],
         # artificial columns are dead in phase 2
         tab[:] = [row[:live] + row[-1:] for row in tab]
 
-    cs = math.lcm(*(x.denominator for x in c))
-    run([x.numerator * (cs // x.denominator) for x in c] + [0] * (ncols - nv), live)
+    (objective,), _ = integer_rows([c])
+    run(objective + [0] * (ncols - nv), live)
 
     x = [Fraction(0)] * nv
     for i in range(nrows):

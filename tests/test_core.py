@@ -105,8 +105,12 @@ def test_bid_profile_rejects_bad_entries():
         bids.replace_row(0, (1, 2, 3))
     with pytest.raises(ValueError, match="^agent out of range$"):
         bids.replace_bid(-1, 0, 1)
-    with pytest.raises(IndexError):  # indexes the row before replace_row's range check
+    with pytest.raises(ValueError, match="^agent out of range$"):
         bids.replace_bid(2, 0, 1)
+    with pytest.raises(ValueError, match="^item out of range$"):
+        bids.replace_bid(0, 2, 1)
+    with pytest.raises(ValueError, match="^item out of range$"):  # no counting from the end
+        bids.replace_bid(0, -1, 1)
     # a rejected replacement leaves the profile as it was
     assert bids.bids == ((1, 2), (2, 1))
 
