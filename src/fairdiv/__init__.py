@@ -80,8 +80,6 @@ from .oracle import (
     LPSolution,
     enumerate_allocations,
     is_pea,
-    is_pep,
-    pareto_dominates,
     pareto_frontier,
     pea_solution,
     utility_vector,

@@ -21,27 +21,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
-from dataclasses import dataclass
-from fractions import Fraction
-from itertools import permutations
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .axioms import (
-    CHECKERS,
-    check_befp,
-    check_efa,
-    check_envy_bounded,
-    check_pea,
-    check_pep,
-    check_prefix_efa,
-    check_sefa,
-    efa_forced_marginals,
-)
+from .axioms import check_efa, check_pea, check_pep
+from .claims import BLOCKS, COLUMNS, check_axiom, table_report, theorem_checks
 from .core import (
     AllocationDistribution,
     BidProfile,
@@ -58,34 +45,19 @@ from .instances import (
     ParseError,
     WORKED_EXAMPLE_IDS,
     build_table_manifest,
-    counterexample_instances,
     generate,
     load_manifest,
     parse_bids,
     parse_instance,
     parse_rational,
-    random_suite,
     serialize_instance,
     validate_domain,
     worked_example,
 )
-from .mechanisms import (
-    MECHANISM_NAMES,
-    Mechanism,
-    _positive_bidders,
-    balanced_like,
-    get_mechanism,
-    like,
-    maximum_like,
-    osd,
-    orp,
-    pareto_levels,
-    pareto_like,
-)
-from .oracle import pareto_frontier, pea_solution, utility_vector
+from .mechanisms import MECHANISM_NAMES, Mechanism, get_mechanism
 from .strategic import (
+    DEFAULT_MAX_CANDIDATES,
     BidGrid,
-    classify,
     memoryless_probe,
     osp_falsify,
     sp_falsify,
@@ -97,46 +69,10 @@ EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
-COLUMNS = ("sp", "osp", "efa", "sefa", "efp", "sefp", "befp", "pea", "pep")
-BLOCKS = ("general", "identical", "binary")
-BLOCK_ROWS = {
-    "general": ("orp", "osd", "maximum-like", "pareto-like", "like", "balanced-like"),
-    "identical": ("like", "balanced-like"),
-    "binary": ("like", "balanced-like"),
-}
 BLOCK_TITLES = {
     "general": "general utilities",
     "identical": "identical utilities",
     "binary": "binary utilities",
-}
-
-
-def _expected_row(cells: str) -> dict[str, tuple[bool, bool]]:
-    out = {}
-    for col, cell in zip(COLUMNS, cells.split()):
-        out[col] = (cell.rstrip("*") == "+", cell.endswith("*"))
-    return out
-
-
-# verdict, with a star when the claim is quoted from earlier work rather
-# than established by this library's own suites
-EXPECTED_TABLE: dict[str, dict[str, dict[str, tuple[bool, bool]]]] = {
-    "general": {
-        "orp":           _expected_row("+  +  +  +  x  x  x  x  +"),
-        "osd":           _expected_row("+  +  x  x  x  x  x  +  +"),
-        "maximum-like":  _expected_row("x  x  x  x  x  x  x  +  +"),
-        "pareto-like":   _expected_row("x  x  x  x  x  x  x  x  +"),
-        "like":          _expected_row("+* +  +* +  x* x  x* x  x"),
-        "balanced-like": _expected_row("x* +  x* x  x* x  x* x  x"),
-    },
-    "identical": {
-        "like":          _expected_row("+* +  +* +  x* x  x  +  +"),
-        "balanced-like": _expected_row("x  +  +  +  x* x  x  +  +"),
-    },
-    "binary": {
-        "like":          _expected_row("+* +  +* +  x* x  x* +  +"),
-        "balanced-like": _expected_row("x* +  +* x  x* x  +* +  +"),
-    },
 }
 
 
@@ -253,37 +189,30 @@ def cmd_run(args) -> int:
 
 # --- check -------------------------------------------------------------
 
-def _axiom_plan(names: Sequence[str], instance: Instance, bound) -> list[tuple[str, object]]:
-    plan: list[tuple[str, object]] = []
-    for name in names:
+def _axiom_names(requested: Sequence[str], instance: Instance) -> list[str]:
+    """The requested axioms with "all" expanded to those that apply to the
+    instance, each once, in first-request order."""
+    names: list[str] = []
+    for name in requested:
         if name == "all":
-            base = ["efp", "efa", "sefp", "sefa", "pea", "pep"]
+            names += ["efp", "efa", "sefp", "sefa"]
             if validate_domain(instance, "binary"):
-                base.insert(4, "befp")
-            plan.extend((b, CHECKERS[b]) for b in base)
-        elif name == "envy-bounded":
-            plan.append((name, lambda d: check_envy_bounded(d, bound=bound)))
-        elif name == "prefix-efa":
-            plan.append((name, check_prefix_efa))
+                names.append("befp")
+            names += ["pea", "pep"]
         else:
-            plan.append((name, CHECKERS[name]))
-    seen = set()
-    unique = []
-    for name, fn in plan:
-        if name not in seen:
-            seen.add(name)
-            unique.append((name, fn))
-    return unique
+            names.append(name)
+    return list(dict.fromkeys(names))
 
 
 def cmd_check(args) -> int:
     instance = _resolve_instance(args)
     bids = _resolve_bids(args, instance)
     mech = _resolve_mechanism(args)
-    dist = mech.run(instance, bids, max_nodes=_max_nodes(args))
+    nodes = _max_nodes(args)
+    dist = mech.run(instance, bids, max_nodes=nodes)
     bound = parse_rational(args.bound)
-    plan = _axiom_plan(args.axiom or ["all"], instance, bound)
-    results = [(name, fn(dist)) for name, fn in plan]
+    results = [(name, check_axiom(name, dist, bound=bound, max_nodes=nodes))
+               for name in _axiom_names(args.axiom or ["all"], instance)]
     ok = all(v.holds for _, v in results)
     if args.json:
         print(json.dumps({
@@ -403,8 +332,8 @@ def _example_payload(eid: int, max_nodes: Optional[int]) -> dict:
                 marginals(dist) == marginals(base)
             )
         if eid == 4:
-            payload["constructed"]["pep"] = check_pep(dist).to_json()
-            payload["constructed"]["pea"] = check_pea(dist).to_json()
+            payload["constructed"]["pep"] = check_pep(dist, max_nodes=max_nodes).to_json()
+            payload["constructed"]["pea"] = check_pea(dist, max_nodes=max_nodes).to_json()
     return payload
 
 
@@ -446,61 +375,6 @@ def cmd_examples(args) -> int:
 
 # --- table -------------------------------------------------------------
 
-@dataclass
-class CellOutcome:
-    verdict: bool
-    witness_instance: Optional[str] = None
-    witness: Optional[dict] = None
-
-
-def _axiom_cell(column: str, block: str,
-                runs: Sequence[tuple[str, AllocationDistribution]],
-                max_nodes: Optional[int]) -> CellOutcome:
-    for label, dist in runs:
-        if column == "befp":
-            verdict = (check_befp(dist) if block == "binary"
-                       else check_envy_bounded(dist, bound=1))
-        elif column in ("pea", "pep"):
-            verdict = CHECKERS[column](dist, max_nodes=max_nodes)
-        else:
-            verdict = CHECKERS[column](dist)
-        if not verdict.holds:
-            payload = {} if verdict.witness is None else verdict.witness.to_json()
-            if verdict.margin is not None:
-                payload["margin"] = format_value(verdict.margin)
-            return CellOutcome(False, label, payload)
-    return CellOutcome(True)
-
-
-def _search_cell(column: str, mech: Mechanism,
-                 suite: Sequence[tuple[str, Instance]],
-                 max_nodes: Optional[int]) -> CellOutcome:
-    for label, inst in suite:
-        if column == "sp":
-            found = sp_falsify(mech, inst, max_nodes=max_nodes)
-        else:
-            found = osp_falsify(mech, inst, max_nodes=max_nodes)
-        if found is not None:
-            return CellOutcome(False, label, found.to_json())
-    return CellOutcome(True)
-
-
-def _evaluate_block(block: str, suite: Sequence[tuple[str, Instance]],
-                    max_nodes: Optional[int]) -> dict[str, dict[str, CellOutcome]]:
-    out: dict[str, dict[str, CellOutcome]] = {}
-    for mech_name in BLOCK_ROWS[block]:
-        mech = get_mechanism(mech_name)
-        runs = [(label, mech.run(inst, max_nodes=max_nodes)) for label, inst in suite]
-        cells: dict[str, CellOutcome] = {}
-        for column in COLUMNS:
-            if column in ("sp", "osp"):
-                cells[column] = _search_cell(column, mech, suite, max_nodes)
-            else:
-                cells[column] = _axiom_cell(column, block, runs, max_nodes)
-        out[mech_name] = cells
-    return out
-
-
 def _cell_mark(verdict: bool, prior: bool) -> str:
     return ("+" if verdict else "x") + ("*" if prior else "")
 
@@ -522,41 +396,9 @@ def cmd_table(args) -> int:
         blocks = [b for b in blocks if b in args.block]
     if not blocks:
         raise ValueError("no blocks selected")
-    nodes = _max_nodes(args)
     started = time.perf_counter()
-    mismatches: list[dict] = []
-    report: dict = {"columns": list(COLUMNS), "blocks": {}}
-    for block in blocks:
-        suite = manifest[block]
-        results = _evaluate_block(block, suite, nodes)
-        rows = []
-        for mech_name in BLOCK_ROWS[block]:
-            cells = {}
-            for column in COLUMNS:
-                outcome = results[mech_name][column]
-                expected, prior = EXPECTED_TABLE[block][mech_name][column]
-                matches = outcome.verdict == expected
-                cells[column] = {
-                    "verdict": "+" if outcome.verdict else "x",
-                    "expected": "+" if expected else "x",
-                    "matches": matches,
-                    "source": "prior work" if prior else "established here",
-                    "witness_instance": outcome.witness_instance,
-                    "witness": outcome.witness,
-                }
-                if not matches:
-                    mismatches.append({
-                        "block": block,
-                        "mechanism": mech_name,
-                        "column": column,
-                        "expected": "+" if expected else "x",
-                        "computed": "+" if outcome.verdict else "x",
-                        "witness_instance": outcome.witness_instance,
-                    })
-            rows.append({"mechanism": mech_name, "cells": cells})
-        report["blocks"][block] = {"instances": len(suite), "rows": rows}
-    report["mismatches"] = mismatches
-    report["all_match"] = not mismatches
+    report = table_report({b: manifest[b] for b in blocks}, _max_nodes(args))
+    mismatches = report["mismatches"]
     if args.json:
         print(json.dumps(report, indent=2))
         return EXIT_OK if not mismatches else EXIT_FAIL
@@ -593,185 +435,9 @@ def cmd_table(args) -> int:
 
 # --- theorems ----------------------------------------------------------
 
-def _theorem_suites(seed: int):
-    base = counterexample_instances()
-    mixed = base + random_suite(12, seed)
-    identical = ([(l, i) for l, i in base if validate_domain(i, "identical-cardinal")]
-                 + random_suite(8, seed + 1, domains=("identical-cardinal",)))
-    binary = ([(l, i) for l, i in base if validate_domain(i, "binary")]
-              + random_suite(8, seed + 2, domains=("binary",)))
-    positive = [(l, i) for l, i in mixed
-                if all(x > 0 for row in i.utilities for x in row)]
-    return mixed, identical, binary, positive
-
-
-def _theorem_checks(seed: int, nodes: Optional[int]) -> list[dict]:
-    mixed, identical, binary, positive = _theorem_suites(seed)
-    checks: list[dict] = []
-
-    def add(name: str, ok: bool, note: str) -> None:
-        checks.append({"name": name, "ok": bool(ok), "note": note})
-
-    # 1: the engine's incremental frontier agrees with brute-force search,
-    # and the frontier rule's support is exactly the enumerated frontier
-    ok = True
-    pl = pareto_like()
-    for _, inst in mixed:
-        bids = BidProfile.sincere(inst)
-        levels, viable = pareto_levels(bids, _positive_bidders(bids))
-        for j in range(1, inst.m + 1):
-            sub = inst.prefix(j)
-            brute = {utility_vector(a, sub.utilities)
-                     for a in pareto_frontier(sub, max_nodes=nodes)}
-            ok = ok and set(levels[j - 1]) == brute
-            ok = ok and viable[j - 1] <= brute
-        support = {a.owners for a in pl.run(inst, max_nodes=nodes).support()}
-        front = {a.owners for a in pareto_frontier(inst, max_nodes=nodes)}
-        ok = ok and support == front
-    add("pareto-frontier-routes-agree", ok,
-        f"incremental vs enumerated frontiers on {len(mixed)} instances, all prefixes")
-
-    # 2: honesty is optimal exactly for sign-only, history-free rules
-    expected_profiles = {
-        "osd": (True, True), "orp": (True, True), "like": (True, True),
-        "balanced-like": (True, False), "maximum-like": (False, True),
-        "pareto-like": (False, False),
-    }
-    bad = []
-    for name, flags in expected_profiles.items():
-        prof = classify(get_mechanism(name), mixed, max_nodes=nodes)
-        if (prof.step, prof.memoryless) != flags or not prof.characterization_consistent:
-            bad.append(name)
-    add("honesty-needs-sign-and-history-independence", not bad,
-        "profiles diverge for: " + ", ".join(bad) if bad else
-        f"six mechanisms profiled on {len(mixed)} instances")
-
-    # 3: the direct uniform-priority evaluation equals the explicit mixture
-    ok = True
-    for _, inst in mixed:
-        fact = math.factorial(inst.n)
-        parts = [(osd(PriorityOrder(p)).run(inst, max_nodes=nodes), Fraction(1, fact))
-                 for p in permutations(range(inst.n))]
-        ok = ok and AllocationDistribution.mix(parts).entries == orp().run(
-            inst, max_nodes=nodes).entries
-    add("priority-mixture-equals-direct-average", ok,
-        f"checked on {len(mixed)} instances")
-
-    # 4: every positive bidder gets an equal share of each item
-    ok = True
-    for _, inst in mixed:
-        p = marginals(like().run(inst, max_nodes=nodes))
-        for j in range(inst.m):
-            pos = [i for i in range(inst.n) if inst.utility(i, j) > 0]
-            for i in range(inst.n):
-                want = Fraction(1, len(pos)) if i in pos else 0
-                ok = ok and p.entry(i, j) == want
-        ok = ok and marginals(orp().run(inst, max_nodes=nodes)) == p
-    add("positive-bidders-share-items-equally", ok,
-        f"marginals and the uniform-priority match on {len(mixed)} instances")
-
-    # 5: equal sharing is envy-free ex ante, including the strong variant
-    ok = True
-    for mech in (like(), orp()):
-        for _, inst in mixed:
-            dist = mech.run(inst, max_nodes=nodes)
-            ok = ok and check_efa(dist).holds and check_sefa(dist).holds
-    add("uniform-sharing-is-envy-free-ex-ante", ok,
-        f"both sharing rules on {len(mixed)} instances")
-
-    # 6: bundle balancing caps envy at one item on 0/1 utilities; plain
-    #    sharing does not
-    bl_ok = all(check_befp(balanced_like().run(i, max_nodes=nodes)).holds
-                for _, i in binary)
-    like_breaks = any(not check_befp(like().run(i, max_nodes=nodes)).holds
-                      for _, i in binary)
-    add("balanced-bundles-bound-envy-on-binary", bl_ok and like_breaks,
-        f"{len(binary)} binary instances; unbalanced sharing exceeds the bound")
-
-    # 7: dictatorships and highest-bidder rules are efficient both ways
-    ok = True
-    for _, inst in mixed:
-        mechs = (osd(), osd(tuple(reversed(range(inst.n)))), maximum_like())
-        for mech in mechs:
-            dist = mech.run(inst, max_nodes=nodes)
-            ok = (ok and check_pea(dist, max_nodes=nodes).holds
-                  and check_pep(dist, max_nodes=nodes).holds)
-    add("dictatorships-and-top-bidders-are-efficient", ok,
-        f"two priority orders and the top-bidder rule on {len(mixed)} instances")
-
-    # 8: the frontier rule never outputs a dominated allocation, yet its
-    #    lottery can be dominated
-    pep_ok = all(check_pep(pareto_like().run(i, max_nodes=nodes),
-                           max_nodes=nodes).holds for _, i in mixed)
-    pea_breaks = any(not check_pea(pareto_like().run(i, max_nodes=nodes),
-                                   max_nodes=nodes).holds for _, i in mixed)
-    add("frontier-rule-is-efficient-ex-post-only", pep_ok and pea_breaks,
-        f"{len(mixed)} instances; at least one lottery improvement found")
-
-    # 9: item-by-item envy-freeness pins marginals to equal shares when
-    #    everyone likes everything
-    ok = True
-    for _, inst in positive:
-        dist = like().run(inst, max_nodes=nodes)
-        ok = (ok and check_prefix_efa(dist).holds
-              and marginals(dist) == efa_forced_marginals(inst))
-    add("stepwise-envy-freeness-forces-equal-shares", ok,
-        f"{len(positive)} all-positive instances")
-
-    # 10: those forced equal shares can be dominated, so stepwise envy-free
-    #     and ex ante efficient are incompatible
-    inst, _ = worked_example(1)
-    forced = efa_forced_marginals(inst)
-    own = expected_utilities(forced, inst.utilities).own()
-    sol = pea_solution(own, inst, max_nodes=nodes)
-    ok = own == (Fraction(3, 2), Fraction(3, 2)) and sol.objective == 1
-    dl = like().run(inst, max_nodes=nodes)
-    ok = ok and check_prefix_efa(dl).holds and not check_pea(dl, max_nodes=nodes).holds
-    for mech in (osd(), maximum_like()):
-        d = mech.run(inst, max_nodes=nodes)
-        ok = (ok and check_pea(d, max_nodes=nodes).holds
-              and not check_prefix_efa(d).holds)
-    add("equal-shares-conflict-with-ex-ante-efficiency", ok,
-        "forced shares lose total utility 1 to a lottery on the swap instance")
-
-    # 11: with zero utilities allowed, envy-freeness ex ante does not pin
-    #     down the marginals
-    inst2, tilted = worked_example(2)
-    d2 = tilted.run(inst2, max_nodes=nodes)
-    ok = (check_efa(d2).holds
-          and marginals(d2) != marginals(like().run(inst2, max_nodes=nodes)))
-    add("tilted-variant-stays-envy-free-ex-ante", ok,
-        "hand-tilted sharing keeps envy-freeness with different marginals")
-
-    # 12: changing one instance's outcome can break efficiency outright
-    inst4, patched = worked_example(4)
-    d4 = patched.run(inst4, max_nodes=nodes)
-    v_pep = check_pep(d4, max_nodes=nodes)
-    v_pea = check_pea(d4, max_nodes=nodes)
-    ok = (not v_pep.holds) and (not v_pea.holds) and v_pea.margin == Fraction(3, 4)
-    add("one-instance-exception-breaks-efficiency", ok,
-        "patched top-bidder rule is dominated ex post and ex ante")
-
-    # 13: with identical utilities the rules collapse and become efficient
-    ok = True
-    for _, inst in identical:
-        dl = like().run(inst, max_nodes=nodes)
-        ok = ok and pareto_like().run(inst, max_nodes=nodes).entries == dl.entries
-        ok = ok and maximum_like().run(inst, max_nodes=nodes).entries == dl.entries
-        ok = ok and marginals(balanced_like().run(inst, max_nodes=nodes)) == marginals(dl)
-        for mech in (like(), balanced_like()):
-            d = mech.run(inst, max_nodes=nodes)
-            ok = (ok and check_pea(d, max_nodes=nodes).holds
-                  and check_pep(d, max_nodes=nodes).holds)
-    add("identical-preferences-collapse-the-rules", ok,
-        f"{len(identical)} identical-utility instances")
-
-    return checks
-
-
 def cmd_theorems(args) -> int:
     started = time.perf_counter()
-    checks = _theorem_checks(args.seed, _max_nodes(args))
+    checks = theorem_checks(args.seed, _max_nodes(args))
     ok = all(c["ok"] for c in checks)
     if args.json:
         print(json.dumps({"checks": checks, "all_ok": ok}, indent=2))
@@ -837,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="sp")
     p_fal.add_argument("--extra-bid", action="append", metavar="P/Q",
                        help="extra value to add to every bid menu; repeatable")
-    p_fal.add_argument("--max-candidates", type=int, default=10**6,
+    p_fal.add_argument("--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES,
                        help="bound on candidate rows per agent")
     add_common(p_fal, bids=False)
     p_fal.set_defaults(func=cmd_falsify)

@@ -171,11 +171,6 @@ class BidProfile:
     def matches(self, instance: Instance) -> bool:
         return self.n == instance.n and self.m == instance.m
 
-    def prefix(self, upto: int) -> "BidProfile":
-        if not 0 <= upto <= self.m:
-            raise ValueError("prefix length out of range")
-        return BidProfile(tuple(row[:upto] for row in self.bids))
-
     def replace_row(self, agent: int, row: Sequence[object]) -> "BidProfile":
         """A copy of the profile with one agent's bids swapped out."""
         if not 0 <= agent < self.n:

@@ -53,9 +53,6 @@ from .core import (
     integer_rows,
 )
 
-MECHANISM_NAMES = ("osd", "orp", "like", "balanced-like", "maximum-like", "pareto-like")
-
-
 class RuleInvariantError(FairDivError):
     """A rule produced a feasible set inconsistent with the bids.
 
@@ -569,19 +566,24 @@ def pareto_like() -> Mechanism:
     return _rule_mechanism("pareto-like", lambda _: ParetoLikeRule(), "bids")
 
 
+#: command-line name -> factory, in the order listings and reports use
+FACTORIES: dict[str, Callable[[], Mechanism]] = {
+    "osd": osd,
+    "orp": orp,
+    "like": like,
+    "balanced-like": balanced_like,
+    "maximum-like": maximum_like,
+    "pareto-like": pareto_like,
+}
+MECHANISM_NAMES = tuple(FACTORIES)
+
+
 def get_mechanism(name: str, *, sigma: PriorityOrder | Sequence[int] | None = None) -> Mechanism:
     """Look up a mechanism by its command-line name."""
     if name == "osd":
         return osd(sigma)
     if sigma is not None:
         raise ValueError("--sigma only applies to osd")
-    table = {
-        "orp": orp,
-        "like": like,
-        "balanced-like": balanced_like,
-        "maximum-like": maximum_like,
-        "pareto-like": pareto_like,
-    }
-    if name not in table:
+    if name not in FACTORIES:
         raise ValueError(f"unknown mechanism {name!r}; expected one of {', '.join(MECHANISM_NAMES)}")
-    return table[name]()
+    return FACTORIES[name]()

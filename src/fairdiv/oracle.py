@@ -87,38 +87,6 @@ def check_enumeration_bound(positives: Sequence[Sequence[int]],
             raise WorkBoundExceeded(f"enumeration may exceed {bound} allocations")
 
 
-def dominates(va: Sequence[Value], vb: Sequence[Value]) -> bool:
-    """True when utility vector ``va`` is at least ``vb`` everywhere and
-    strictly larger somewhere."""
-    return va != vb and all(x >= y for x, y in zip(va, vb))
-
-
-def pareto_dominates(a: Allocation, b: Allocation,
-                     values: Sequence[Sequence[Value]]) -> bool:
-    """True when ``a`` is at least as good as ``b`` for everyone and strictly
-    better for someone, measured by ``values``."""
-    return dominates(utility_vector(a, values), utility_vector(b, values))
-
-
-def is_pep(alloc: Allocation, instance: Instance, bids: Optional[BidProfile] = None, *,
-           values: Optional[Sequence[Sequence[Value]]] = None,
-           max_nodes: Optional[int] = None) -> bool:
-    """Is the allocation Pareto efficient among all same-prefix allocations?
-
-    The comparison class is every non-wasteful allocation under ``bids``;
-    dominance is measured by ``values``. Defaults give the auditor's view
-    (sincere bids, true utilities); pass the bid matrix as ``values`` to
-    take the mechanism's view.
-    """
-    if values is None:
-        values = instance.utilities
-    target = utility_vector(alloc, values)
-    for other in enumerate_allocations(instance, bids, max_nodes=max_nodes):
-        if dominates(utility_vector(other, values), target):
-            return False
-    return True
-
-
 def pareto_frontier(instance: Instance, bids: Optional[BidProfile] = None, *,
                     values: Optional[Sequence[Sequence[Value]]] = None,
                     max_nodes: Optional[int] = None) -> list[Allocation]:

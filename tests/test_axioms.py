@@ -50,7 +50,6 @@ from fairdiv import (
     worked_example,
 )
 from fairdiv.instances import WORKED_EXAMPLE_IDS
-from fairdiv.oracle import dominates
 
 SWAP = Instance(((1, 2), (2, 1)))
 PINNED_VERDICTS = "e9590442366a498536b62a1aa4b652d24052813ebcde164207904d60ff1872d7"
@@ -317,6 +316,10 @@ def ref_prefix_efa(dist, utilities=None):
         if not verdict.holds:
             return AxiomVerdict("prefix-efa", False, verdict.margin, verdict.witness)
     return AxiomVerdict("prefix-efa", True, None, None)
+
+
+def dominates(va, vb):
+    return va != vb and all(x >= y for x, y in zip(va, vb))
 
 
 def ref_pep(dist, utilities=None, *, max_nodes=None):

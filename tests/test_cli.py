@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import re
 from pathlib import Path
 
 from fairdiv import parse_instance
@@ -148,6 +149,20 @@ def test_check_envy_bounded(capsys):
                         "--axiom", "envy-bounded", "--bound", "1/2")
     assert code == 1
     assert "envy-bounded: FAILS" in out
+
+
+def test_check_applies_the_work_bound_to_efficiency(capsys, monkeypatch):
+    # osd's run fits one leaf, but pep and pea enumerate four allocations
+    for axiom in ("pep", "pea"):
+        code, _ = run_cli(capsys, "check", "osd", "--example", "1",
+                          "--max-nodes", "1", "--axiom", axiom)
+        assert code == 2, axiom
+    monkeypatch.setenv("FAIRDIV_MAX_NODES", "1")
+    code, _ = run_cli(capsys, "check", "osd", "--example", "1", "--axiom", "pep")
+    assert code == 2
+    # efp enumerates nothing, so it still reaches its verdict (it fails here)
+    code, _ = run_cli(capsys, "check", "osd", "--example", "1", "--axiom", "efp")
+    assert code == 1
 
 
 def test_check_prefix_efa(capsys):
@@ -357,3 +372,18 @@ def test_table_and_theorems_json_bytes_are_pinned(capsys):
         code, out = run_cli(capsys, *argv)
         assert code == 0, argv
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv
+
+
+def test_table_and_theorems_text_is_pinned(capsys):
+    # the printed forms, with the run time taken out
+    code, out = run_cli(capsys, "table", "--per-block", "20")
+    assert code == 0
+    out = "".join(line for line in out.splitlines(keepends=True)
+                  if not line.startswith("runtime:"))
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "e8b8f58cf12b587bd72fd19ba16516864d43bfab82d338e5dc06227d36a4742e")
+    code, out = run_cli(capsys, "theorems")
+    assert code == 0
+    out = re.sub(r" \(\d+\.\ds\)\n\Z", "\n", out)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "a1c681eee525364d20605ea4c3b46bbc42ad507ea6f39b1c765bff14c1346747")

@@ -17,10 +17,8 @@ from fairdiv import (
     expected_utilities,
     generate,
     is_pea,
-    is_pep,
     like,
     marginals,
-    pareto_dominates,
     pareto_frontier,
     pea_solution,
     utility_vector,
@@ -55,13 +53,6 @@ def test_utility_vector():
     assert utility_vector(Allocation((0, 0)), SWAP.utilities) == (3, 0)
     assert utility_vector(Allocation((1, 0)), SWAP.utilities) == (2, 2)
     assert utility_vector(Allocation((None, None)), SWAP.utilities) == (0, 0)
-
-
-def test_pareto_dominance_is_strict_somewhere():
-    u = ((1, 2), (2, 1))
-    assert pareto_dominates(Allocation((1, 0)), Allocation((0, 1)), u)
-    assert not pareto_dominates(Allocation((0, 0)), Allocation((1, 1)), u)
-    assert not pareto_dominates(Allocation((0, 0)), Allocation((0, 0)), u)
 
 
 def test_frontier_of_the_swap_instance():
@@ -136,18 +127,12 @@ def test_enumeration_is_in_canonical_order():
         assert allocs == sorted(allocs, key=Allocation.sort_key)
 
 
-def test_is_pep_matches_frontier_membership():
-    front = {a.owners for a in pareto_frontier(SWAP)}
-    for alloc in enumerate_allocations(SWAP):
-        assert is_pep(alloc, SWAP) == (alloc.owners in front)
-
-
 def test_efficient_ex_post_can_still_lose_to_a_lottery():
     # splitting the items here is undominated by any single allocation but
     # a coin flip between the two dictatorship outcomes beats it
     inst = Instance(((2, 1), (3, 1)))
     split = Allocation((0, 1))
-    assert is_pep(split, inst)
+    assert split in pareto_frontier(inst)
     sol = pea_solution(utility_vector(split, inst.utilities), inst)
     assert sol.objective == Fraction(1, 2)
     assert not is_pea(utility_vector(split, inst.utilities), inst)
