@@ -30,7 +30,7 @@ from .core import (
     format_value,
     marginal_counts,
 )
-from .mechanisms import Mechanism, like, maximum_like
+from .mechanisms import Mechanism, _checked_bids, like, maximum_like
 
 DOMAIN_NAMES = (
     "general",
@@ -271,10 +271,7 @@ class ConstructedMechanism:
     def _override(self, instance: Instance, bids: Optional[BidProfile],
                   ) -> tuple[BidProfile, Optional[AllocationDistribution]]:
         """The checked bids, and the override distribution they select."""
-        if bids is None:
-            bids = BidProfile.sincere(instance)
-        if not bids.matches(instance):
-            raise ValueError("bid profile shape differs from instance")
+        bids = _checked_bids(instance, bids)
         for mat, dist in self.overrides:
             if bids.bids == mat:
                 return bids, dist

@@ -20,7 +20,7 @@ orp is the uniform mixture of osd over all priority orders.
 
 The engine, `_expand`, is one forward pass over the items. Each layer maps
 a node, an owner prefix plus the rule's state key, to an int weight over
-one common scale L = prod_j lcm(1..branch width of item j), so every
+one common scale L = prod_j lcm(1..count of item j's candidates), so every
 uniform split is an exact integer division and probabilities become
 Fractions only in what `allocate` returns. The state key is what a rule's later feasible
 sets depend on: `()` for osd, like and maximum-like, the bundle sizes for
@@ -66,8 +66,15 @@ class RuleInvariantError(FairDivError):
 class FeasibilityRule:
     """Per-item feasible-set policy driving the expansion engine.
 
-    `begin` runs once per mechanism run and may precompute state from the
-    bids. Along each branch the engine carries a state key: it starts at
+    `candidates` names, for each item, the agents the rule can ever pick
+    there: by default its positive bidders. The engine multiplies their
+    counts over the items for its work bound before any other work, and its
+    weight scale L holds lcm(1..count) for each item, so every uniform split
+    of a weight is exact. `begin` then runs once per mechanism run and
+    returns the state `feasible` reads; by default that is the candidates,
+    and `feasible` returns the item's.
+
+    Along each branch the engine carries a state key: it starts at
     `start(n)`, `advance` updates it after every assignment, and
     `feasible(state, item, key)` reads it. The key holds exactly what the
     rule's future feasible sets depend on beyond the bids: nothing (`()`)
@@ -75,18 +82,16 @@ class FeasibilityRule:
     (discarded items count for nobody), and each agent's bid total for their
     bundle for pareto-like. Branches with equal keys therefore continue
     identically, which is what lets the marginals-only pass merge them.
-
-    `branch_width` bounds the size of the item's feasible set on every
-    branch. The engine's work bound multiplies it over the items, and its
-    weight scale L holds lcm(1..width) for each item, so every uniform split
-    of a weight is exact.
     """
 
     name = "?"
 
-    def begin(self, instance: Instance, bids: BidProfile,
-              positives: tuple[tuple[int, ...], ...]) -> object:
+    def candidates(self, bids: BidProfile, positives: tuple[tuple[int, ...], ...],
+                   ) -> tuple[tuple[int, ...], ...]:
         return positives
+
+    def begin(self, bids: BidProfile, candidates: tuple[tuple[int, ...], ...]) -> object:
+        return candidates
 
     def start(self, n: int) -> Hashable:
         return ()
@@ -95,10 +100,7 @@ class FeasibilityRule:
         return key
 
     def feasible(self, state: object, item: int, key: Hashable) -> tuple[int, ...]:
-        raise NotImplementedError
-
-    def branch_width(self, positives: tuple[tuple[int, ...], ...], item: int) -> int:
-        return max(1, len(positives[item]))
+        return state[item]
 
 
 class OsdRule(FeasibilityRule):
@@ -109,31 +111,14 @@ class OsdRule(FeasibilityRule):
     def __init__(self, order: PriorityOrder):
         self.order = order
 
-    def begin(self, instance, bids, positives):
-        first: list[tuple[int, ...]] = []
-        for j in range(bids.m):
-            pick: tuple[int, ...] = ()
-            for i in self.order:
-                if bids.bid(i, j) > 0:
-                    pick = (i,)
-                    break
-            first.append(pick)
-        return tuple(first)
-
-    def feasible(self, state, item, key):
-        return state[item]
-
-    def branch_width(self, positives, item):
-        return 1
+    def candidates(self, bids, positives):
+        return tuple(next(((i,) for i in self.order if i in pos), ()) for pos in positives)
 
 
 class LikeRule(FeasibilityRule):
     """Every positive bidder is feasible."""
 
     name = "like"
-
-    def feasible(self, state, item, key):
-        return state[item]
 
 
 class BalancedLikeRule(FeasibilityRule):
@@ -165,16 +150,12 @@ class MaximumLikeRule(FeasibilityRule):
 
     name = "maximum-like"
 
-    def begin(self, instance, bids, positives):
+    def candidates(self, bids, positives):
         tops: list[tuple[int, ...]] = []
-        for j in range(bids.m):
-            col = [bids.bid(i, j) for i in range(bids.n)]
-            best = max(col)
-            tops.append(tuple(i for i, v in enumerate(col) if v == best) if best > 0 else ())
+        for j, pos in enumerate(positives):
+            best = max((bids.bid(i, j) for i in pos), default=0)
+            tops.append(tuple(i for i in pos if bids.bid(i, j) == best))
         return tuple(tops)
-
-    def feasible(self, state, item, key):
-        return state[item]
 
 
 def _undominated(vectors: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -297,9 +278,10 @@ class ParetoLikeRule(FeasibilityRule):
 
     name = "pareto-like"
 
-    def begin(self, instance, bids, positives):
-        _, viable = pareto_levels(bids, positives)
-        return positives, viable, bids
+    def begin(self, bids, candidates):
+        # the candidates are the positive bidders
+        _, viable = pareto_levels(bids, candidates)
+        return candidates, viable, bids
 
     def start(self, n):
         return (0,) * n
@@ -340,7 +322,8 @@ def _checked_bids(instance: Instance, bids: Optional[BidProfile]) -> BidProfile:
 def _share(weight: int, ways: int) -> int:
     """Each branch's weight when ``weight`` splits uniformly ``ways`` ways.
 
-    Exact because the engine's scale holds lcm(1..width) of every item.
+    Exact because the engine's scale holds, for every item, lcm(1..its
+    candidate count).
     """
     return weight // ways
 
@@ -351,33 +334,34 @@ def _expand(rule: FeasibilityRule, instance: Instance, bids: BidProfile,
     """The expansion engine: one forward pass over the items, layer by layer.
 
     A layer maps ``(owners, key)`` to an int weight over the common scale
-    L = prod_j lcm(1..rule.branch_width(positives, j)); the root has weight
-    L. At item j every node splits its weight uniformly over the rule's
-    feasible set, or passes it on when the item is discarded. Dividing by
-    the feasible-set size is exact, since the weight still holds every
-    lcm factor of items j onward.
+    L = prod_j lcm(1..c_j), c_j the count of the rule's candidates for
+    item j (at least 1); the root has weight L. At item j every node splits
+    its weight uniformly over the rule's feasible set, or passes it on
+    when the item is discarded. Dividing by the feasible-set size is exact,
+    since the weight still holds every lcm factor of items j onward.
 
     With ``keep_owners`` every node keeps its owner prefix, so no two
     nodes merge and the last layer lists every allocation once. Without
     it the owners stay ``()``, nodes with equal keys merge, and each share
     is added into ``counts[i][j]``; the returned counts are None otherwise.
-    Returns (last layer, counts, L). Raises WorkBoundExceeded before any
-    work when the product of branch widths, a bound on the tree's leaves,
+    Returns (last layer, counts, L). Raises WorkBoundExceeded before
+    `begin` runs when the product of the c_j, a bound on the tree's leaves,
     exceeds ``max_nodes``.
     """
     bound = DEFAULT_MAX_NODES if max_nodes is None else max_nodes
     n, m = instance.n, instance.m
     positives = _positive_bidders(bids)
+    candidates = rule.candidates(bids, positives)
     leaves = scale = 1
-    for j in range(m):
-        width = rule.branch_width(positives, j)
+    for pick in candidates:
+        width = max(1, len(pick))
         leaves *= width
         if leaves > bound:
             raise WorkBoundExceeded(
                 f"{rule.name}: expansion tree may exceed {bound} leaves"
             )
         scale *= math.lcm(*range(1, width + 1))
-    state = rule.begin(instance, bids, positives)
+    state = rule.begin(bids, candidates)
     counts = None if keep_owners else [[0] * m for _ in range(n)]
     layer: dict[tuple[tuple, Hashable], int] = {((), rule.start(n)): scale}
     for j in range(m):
@@ -489,8 +473,9 @@ class Mechanism:
 
     ``view`` declares what the outcome reads of the bids (see `VIEWS`):
     two bid profiles that agree on it, column by column, must give the
-    same distribution. The deviation searches rely on it to try one lie
-    per reachable view; "bids", the default, claims nothing.
+    same distribution and the same work bound. The deviation searches rely
+    on both to try one lie per reachable view and scan it once; "bids",
+    the default, claims nothing.
     """
 
     name: str
@@ -580,10 +565,10 @@ MECHANISM_NAMES = tuple(FACTORIES)
 
 def get_mechanism(name: str, *, sigma: PriorityOrder | Sequence[int] | None = None) -> Mechanism:
     """Look up a mechanism by its command-line name."""
+    if name not in FACTORIES:
+        raise ValueError(f"unknown mechanism {name!r}; expected one of {', '.join(MECHANISM_NAMES)}")
     if name == "osd":
         return osd(sigma)
     if sigma is not None:
         raise ValueError("--sigma only applies to osd")
-    if name not in FACTORIES:
-        raise ValueError(f"unknown mechanism {name!r}; expected one of {', '.join(MECHANISM_NAMES)}")
     return FACTORIES[name]()

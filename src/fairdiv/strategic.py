@@ -120,27 +120,24 @@ def _view_menu(view: str, menu: tuple[Value, ...], instance: Instance,
     return tuple(x for x in menu if x in keep)
 
 
-def _first_lie(menus: Sequence[tuple[Value, ...]], reduced: Sequence[tuple[Value, ...]],
-               sincere_row: tuple[Value, ...], value: Callable[[tuple[Value, ...]], Value],
+def _first_lie(menus: Sequence[tuple[Value, ...]], sincere_row: tuple[Value, ...],
+               value: Callable[[tuple[Value, ...]], Value],
                baseline: Value) -> Optional[tuple[tuple[Value, ...], Value]]:
     """The first row of ``menus``' product, other than ``sincere_row``,
     whose ``value`` beats ``baseline``, with that value; or None.
 
-    The product of ``reduced``, sub-menus that reach every outcome, runs
-    first, and the grid only when it finds a lie: the same first row,
-    and the same point where a work bound trips, as the grid alone.
+    The searches pass the view menus, and the answer is the whole grid's:
+    the same first lie, and the same point where a work bound trips. Each
+    grid row has the outcome and the work bound of the row of its entries'
+    view representatives (see `Mechanism.view`), and each representative
+    is the smallest grid bid with its view, so that row comes no later.
     """
-    def scan(ms):
-        for row in itertools.product(*ms):
-            if row != sincere_row:
-                v = value(row)
-                if v > baseline:
-                    return row, v
-        return None
-
-    if reduced != menus and scan(reduced) is None:
-        return None
-    return scan(menus)
+    for row in itertools.product(*menus):
+        if row != sincere_row:
+            v = value(row)
+            if v > baseline:
+                return row, v
+    return None
 
 
 def sp_falsify(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = None, *,
@@ -176,7 +173,7 @@ def sp_falsify(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = No
             return _true_value(*counts, agent, u)
 
         baseline = _true_value(*base, agent, u)
-        found = _first_lie(menus, reduced, u[agent], value, baseline)
+        found = _first_lie(reduced, u[agent], value, baseline)
         if found is not None:
             return Deviation(agent, found[0], None, baseline, found[1])
     return None
@@ -199,8 +196,8 @@ def osp_falsify(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = N
         sincere = BidProfile.sincere(prefix)
         base = mech.item_counts(prefix, max_nodes=max_nodes)
         for agent in range(instance.n):
-            menu = grid.values(instance, agent, item)
-            reduced = _view_menu(mech.view, menu, instance, agent, item)
+            menu = _view_menu(mech.view, grid.values(instance, agent, item),
+                              instance, agent, item)
 
             def value(row):
                 bids = sincere.replace_bid(agent, item, row[0])
@@ -208,7 +205,7 @@ def osp_falsify(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = N
                 return _true_value(*counts, agent, prefix.utilities)
 
             baseline = _true_value(*base, agent, prefix.utilities)
-            found = _first_lie([menu], [reduced], (u[agent][item],), value, baseline)
+            found = _first_lie([menu], (u[agent][item],), value, baseline)
             if found is not None:
                 row = u[agent][:item] + found[0] + u[agent][item + 1:]
                 return Deviation(agent, row, item, baseline, found[1])

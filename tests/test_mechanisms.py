@@ -11,6 +11,7 @@ from fairdiv import (
     Allocation,
     AllocationDistribution,
     BidProfile,
+    ConstructedMechanism,
     DEFAULT_MAX_NODES,
     DomainSpec,
     Instance,
@@ -145,8 +146,12 @@ def test_empty_instance_yields_the_empty_allocation():
 
 
 def test_allocate_rejects_mismatched_bids():
-    with pytest.raises(ValueError):
-        like().run(SWAP, BidProfile(((1, 2, 3), (1, 1, 1))))
+    mechs = [get_mechanism(name) for name in MECHANISM_NAMES]
+    mechs.append(ConstructedMechanism("fixed", like(), ((SWAP.utilities, osd().run(SWAP)),)))
+    for mech, bids in product(mechs, (((1, 2, 3), (1, 1, 1)), ((1, 2),))):
+        for call in (mech.run, mech.item_counts):
+            with pytest.raises(ValueError, match="bid profile shape differs from instance"):
+                call(SWAP, BidProfile(bids))
 
 
 def test_work_bound_on_wide_trees():
@@ -154,6 +159,17 @@ def test_work_bound_on_wide_trees():
     with pytest.raises(WorkBoundExceeded):
         like().run(inst, max_nodes=4)
     assert len(like().run(inst, max_nodes=8).support()) == 8
+
+
+def test_maximum_like_work_bound_counts_top_bidders():
+    # three positive bidders per item, but one top bidder
+    inst = Instance(((3, 1), (1, 3), (2, 2)))
+    assert owners_map(maximum_like().run(inst, max_nodes=1)) == {(0, 1): Fraction(1)}
+    assert maximum_like().item_counts(inst, max_nodes=1) == ([[1, 0], [0, 1], [0, 0]], 1)
+    with pytest.raises(WorkBoundExceeded):
+        like().run(inst, max_nodes=1)
+    with pytest.raises(WorkBoundExceeded):
+        like().item_counts(inst, max_nodes=1)
 
 
 def test_orp_work_bound_counts_priority_orders():
@@ -361,6 +377,8 @@ def test_get_mechanism_names_and_sigma():
         get_mechanism("like", sigma=PriorityOrder((1, 0)))
     with pytest.raises(ValueError):
         get_mechanism("nope")
+    with pytest.raises(ValueError, match="unknown mechanism 'nope'"):
+        get_mechanism("nope", sigma=(0, 1))
     with pytest.raises(ValueError):
         osd(PriorityOrder((0, 1, 2))).run(SWAP)
 
@@ -398,14 +416,15 @@ def _reference_allocate(rule, instance, bids=None, *, max_nodes=None):
         raise ValueError("bid profile shape differs from instance")
     bound = DEFAULT_MAX_NODES if max_nodes is None else max_nodes
     positives = _positive_bidders(bids)
+    candidates = rule.candidates(bids, positives)
     width = 1
-    for j in range(instance.m):
-        width *= rule.branch_width(positives, j)
+    for pick in candidates:
+        width *= max(1, len(pick))
         if width > bound:
             raise WorkBoundExceeded(
                 f"{rule.name}: expansion tree may exceed {bound} leaves"
             )
-    state = rule.begin(instance, bids, positives)
+    state = rule.begin(bids, candidates)
     n, m = instance.n, instance.m
     owners = [None] * m
     sizes = [0] * n
