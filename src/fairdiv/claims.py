@@ -47,7 +47,6 @@ from .instances import (
 )
 from .mechanisms import (
     Mechanism,
-    _positive_bidders,
     balanced_like,
     get_mechanism,
     like,
@@ -215,8 +214,7 @@ def theorem_checks(seed: int, max_nodes: Optional[int]) -> list[dict]:
     ok = True
     pl = pareto_like()
     for _, inst in mixed:
-        bids = BidProfile.sincere(inst)
-        levels, viable = pareto_levels(bids, _positive_bidders(bids))
+        levels, viable = pareto_levels(BidProfile.sincere(inst))
         for j in range(1, inst.m + 1):
             sub = inst.prefix(j)
             brute = {utility_vector(a, sub.utilities)

@@ -110,13 +110,10 @@ def _resolve_instance(args) -> Instance:
     return parse_instance(_read_text(args.instance))
 
 
-def _resolve_bids(args, instance: Instance) -> Optional[BidProfile]:
+def _resolve_bids(args) -> Optional[BidProfile]:
     if getattr(args, "bids", None) is None:
         return None
-    bids = parse_bids(_read_text(args.bids))
-    if not bids.matches(instance):
-        raise ValueError("bid profile shape differs from instance")
-    return bids
+    return parse_bids(_read_text(args.bids))
 
 
 def _resolve_mechanism(args) -> Mechanism:
@@ -158,7 +155,7 @@ def _witness_text(payload: Optional[dict]) -> str:
 
 def cmd_run(args) -> int:
     instance = _resolve_instance(args)
-    bids = _resolve_bids(args, instance)
+    bids = _resolve_bids(args)
     mech = _resolve_mechanism(args)
     dist = mech.run(instance, bids, max_nodes=_max_nodes(args))
     p = marginals(dist)
@@ -206,7 +203,7 @@ def _axiom_names(requested: Sequence[str], instance: Instance) -> list[str]:
 
 def cmd_check(args) -> int:
     instance = _resolve_instance(args)
-    bids = _resolve_bids(args, instance)
+    bids = _resolve_bids(args)
     mech = _resolve_mechanism(args)
     nodes = _max_nodes(args)
     dist = mech.run(instance, bids, max_nodes=nodes)

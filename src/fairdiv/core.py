@@ -324,12 +324,6 @@ class AllocationDistribution:
     def support(self) -> tuple[Allocation, ...]:
         return tuple(a for a, _ in self.entries)
 
-    def probability(self, alloc: Allocation) -> Fraction:
-        for a, p in self.entries:
-            if a == alloc:
-                return p
-        return Fraction(0)
-
     def as_dict(self) -> dict[Allocation, Fraction]:
         return {a: p for a, p in self.entries}
 

@@ -22,12 +22,15 @@ The engine, `_expand`, is one forward pass over the items. Each layer maps
 a node, an owner prefix plus the rule's state key, to an int weight over
 one common scale L = prod_j lcm(1..count of item j's candidates), so every
 uniform split is an exact integer division and probabilities become
-Fractions only in what `allocate` returns. The state key is what a rule's later feasible
-sets depend on: `()` for osd, like and maximum-like, the bundle sizes for
-balanced-like, the bid totals for pareto-like. `allocate` keeps every owner
-prefix and turns the last layer into a distribution. `Mechanism.item_counts`
-drops the owners, so nodes with equal keys merge, and returns only the
-integer item marginals over L; the deviation searches need nothing more.
+Fractions only in what `allocate` returns. The state key is what a rule's
+later feasible sets depend on: each agent's total, over their bundle, of
+the matrix the rule declares as its tally. osd, like and maximum-like
+declare none, so their key is `()`; balanced-like tallies ones, so its key
+is the bundle sizes; pareto-like tallies the bids, so its key is the bid
+totals. `allocate` keeps every owner prefix and turns the last layer into
+a distribution. `Mechanism.item_counts` drops the owners, so nodes with
+equal keys merge, and returns only the integer item marginals over L; the
+deviation searches need nothing more.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import compress, permutations
 from typing import Callable, Hashable, Optional, Sequence
 
 from .core import (
@@ -56,10 +59,11 @@ from .core import (
 class RuleInvariantError(FairDivError):
     """A rule produced a feasible set inconsistent with the bids.
 
-    Raised when a rule returns no agent for an item somebody bid for, or an
-    agent for an item nobody bid for, and when a mechanism declared to read
-    only bid signs is seen to react to a bid's size. Signals a bug in the
-    rule, not bad input.
+    Raised when a rule returns no agent for an item somebody bid for, an
+    agent for an item nobody bid for, or more agents than the item's
+    candidates, and when a mechanism declared to read only bid signs is
+    seen to react to a bid's size. Signals a bug in the rule, not bad
+    input.
     """
 
 
@@ -74,14 +78,16 @@ class FeasibilityRule:
     returns the state `feasible` reads; by default that is the candidates,
     and `feasible` returns the item's.
 
-    Along each branch the engine carries a state key: it starts at
-    `start(n)`, `advance` updates it after every assignment, and
-    `feasible(state, item, key)` reads it. The key holds exactly what the
-    rule's future feasible sets depend on beyond the bids: nothing (`()`)
-    for osd, like and maximum-like, the bundle sizes for balanced-like
-    (discarded items count for nobody), and each agent's bid total for their
-    bundle for pareto-like. Branches with equal keys therefore continue
-    identically, which is what lets the marginals-only pass merge them.
+    Along each branch the engine carries a state key, which
+    `feasible(state, item, key)` reads. `tally(bids)` declares it: None
+    keeps the key at `()`; an n x m matrix makes the key each agent's total
+    of the matrix over their bundle, from zeros. The key holds exactly what
+    the rule's future feasible sets depend on beyond the bids: nothing for
+    osd, like and maximum-like, the bundle sizes for balanced-like (a
+    matrix of ones; discarded items count for nobody), and each agent's bid
+    total for their bundle for pareto-like (the bids). Branches with equal
+    keys therefore continue identically, which is what lets the
+    marginals-only pass merge them.
     """
 
     name = "?"
@@ -93,11 +99,8 @@ class FeasibilityRule:
     def begin(self, bids: BidProfile, candidates: tuple[tuple[int, ...], ...]) -> object:
         return candidates
 
-    def start(self, n: int) -> Hashable:
-        return ()
-
-    def advance(self, state: object, key: Hashable, agent: int, item: int) -> Hashable:
-        return key
+    def tally(self, bids: BidProfile) -> Optional[Sequence[Sequence[Value]]]:
+        return None
 
     def feasible(self, state: object, item: int, key: Hashable) -> tuple[int, ...]:
         return state[item]
@@ -129,13 +132,8 @@ class BalancedLikeRule(FeasibilityRule):
 
     name = "balanced-like"
 
-    def start(self, n):
-        return (0,) * n
-
-    def advance(self, state, key, agent, item):
-        sizes = list(key)
-        sizes[agent] += 1
-        return tuple(sizes)
+    def tally(self, bids):
+        return ((1,) * bids.m,) * bids.n
 
     def feasible(self, state, item, key):
         pos = state[item]
@@ -215,9 +213,8 @@ def maximal_levels(scaled: Sequence[Sequence[int]], positives: tuple[tuple[int, 
     return levels
 
 
-def pareto_levels(bids: BidProfile, positives: tuple[tuple[int, ...], ...],
-                  ) -> tuple[tuple[tuple[tuple[Value, ...], ...], ...],
-                             tuple[frozenset, ...]]:
+def pareto_levels(bids: BidProfile) -> tuple[tuple[tuple[tuple[Value, ...], ...], ...],
+                                             tuple[frozenset, ...]]:
     """Per-prefix efficiency structure of a bid matrix.
 
     Returns, for every prefix length 1..m, the Pareto-maximal achievable
@@ -233,6 +230,7 @@ def pareto_levels(bids: BidProfile, positives: tuple[tuple[int, ...], ...],
     (sum, vector).
     """
     m = bids.m
+    positives = _positive_bidders(bids)
     scaled, scale = integer_rows(bids.bids)
     levels = maximal_levels(scaled, positives)[1:]
     viable: list[frozenset] = [frozenset()] * m
@@ -280,16 +278,11 @@ class ParetoLikeRule(FeasibilityRule):
 
     def begin(self, bids, candidates):
         # the candidates are the positive bidders
-        _, viable = pareto_levels(bids, candidates)
+        _, viable = pareto_levels(bids)
         return candidates, viable, bids
 
-    def start(self, n):
-        return (0,) * n
-
-    def advance(self, state, key, agent, item):
-        totals = list(key)
-        totals[agent] += state[2].bid(agent, item)
-        return tuple(totals)
+    def tally(self, bids):
+        return bids.bids
 
     def feasible(self, state, item, key):
         positives, viable, bids = state
@@ -306,9 +299,9 @@ class ParetoLikeRule(FeasibilityRule):
 
 
 def _positive_bidders(bids: BidProfile) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(i for i in range(bids.n) if bids.bid(i, j) > 0) for j in range(bids.m)
-    )
+    # bids are nonnegative, so the nonzero ones are the positive ones
+    agents = range(bids.n)
+    return tuple(tuple(compress(agents, column)) for column in zip(*bids.bids))
 
 
 def _checked_bids(instance: Instance, bids: Optional[BidProfile]) -> BidProfile:
@@ -344,17 +337,19 @@ def _expand(rule: FeasibilityRule, instance: Instance, bids: BidProfile,
     nodes merge and the last layer lists every allocation once. Without
     it the owners stay ``()``, nodes with equal keys merge, and each share
     is added into ``counts[i][j]``; the returned counts are None otherwise.
-    Returns (last layer, counts, L). Raises WorkBoundExceeded before
-    `begin` runs when the product of the c_j, a bound on the tree's leaves,
-    exceeds ``max_nodes``.
+    The key is ``()`` when the rule's `tally` is None, and each agent's
+    tally total otherwise. Returns (last layer, counts, L). Raises
+    WorkBoundExceeded before `begin` runs when the product of the c_j, a
+    bound on the tree's leaves, exceeds ``max_nodes``, and
+    RuleInvariantError when a feasible set is larger than c_j.
     """
     bound = DEFAULT_MAX_NODES if max_nodes is None else max_nodes
     n, m = instance.n, instance.m
     positives = _positive_bidders(bids)
     candidates = rule.candidates(bids, positives)
+    widths = [max(1, len(pick)) for pick in candidates]
     leaves = scale = 1
-    for pick in candidates:
-        width = max(1, len(pick))
+    for width in widths:
         leaves *= width
         if leaves > bound:
             raise WorkBoundExceeded(
@@ -362,8 +357,9 @@ def _expand(rule: FeasibilityRule, instance: Instance, bids: BidProfile,
             )
         scale *= math.lcm(*range(1, width + 1))
     state = rule.begin(bids, candidates)
+    tally = rule.tally(bids)
     counts = None if keep_owners else [[0] * m for _ in range(n)]
-    layer: dict[tuple[tuple, Hashable], int] = {((), rule.start(n)): scale}
+    layer: dict[tuple[tuple, Hashable], int] = {((), () if tally is None else (0,) * n): scale}
     for j in range(m):
         assigned = bool(positives[j])
         grown: dict[tuple[tuple, Hashable], int] = {}
@@ -381,9 +377,21 @@ def _expand(rule: FeasibilityRule, instance: Instance, bids: BidProfile,
                 raise RuleInvariantError(
                     f"{rule.name}: item {j + 1} has no positive bid but was assigned"
                 )
-            share = _share(weight, len(feas))
+            ways = len(feas)
+            if ways > widths[j]:
+                raise RuleInvariantError(
+                    f"{rule.name}: {ways} feasible agents for item {j + 1} "
+                    f"exceed its {widths[j]} candidates"
+                )
+            share = _share(weight, ways)
             for i in feas:
-                node = (owners + (i,) if keep_owners else (), rule.advance(state, key, i, j))
+                if tally is None:
+                    child = key
+                else:
+                    totals = list(key)
+                    totals[i] += tally[i][j]
+                    child = tuple(totals)
+                node = (owners + (i,) if keep_owners else (), child)
                 grown[node] = grown.get(node, 0) + share
                 if counts is not None:
                     counts[i][j] += share
@@ -418,13 +426,14 @@ def _orp_outcomes(instance: Instance, bids: Optional[BidProfile],
     fact = math.factorial(n)
     if fact > bound:
         raise WorkBoundExceeded(f"orp: {n}! priority orders exceed {bound}")
+    positives = _positive_bidders(bids)
     outcomes: dict[tuple, int] = {}
     for perm in permutations(range(n)):
         owners = []
-        for j in range(instance.m):
+        for pos in positives:
             pick = None
             for i in perm:
-                if bids.bid(i, j) > 0:
+                if i in pos:
                     pick = i
                     break
             owners.append(pick)

@@ -11,11 +11,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import (
     BidProfile,
     Instance,
+    ItemCounts,
     Value,
     WorkBoundExceeded,
     as_value,
@@ -120,11 +121,14 @@ def _view_menu(view: str, menu: tuple[Value, ...], instance: Instance,
     return tuple(x for x in menu if x in keep)
 
 
-def _first_lie(menus: Sequence[tuple[Value, ...]], sincere_row: tuple[Value, ...],
-               value: Callable[[tuple[Value, ...]], Value],
-               baseline: Value) -> Optional[tuple[tuple[Value, ...], Value]]:
-    """The first row of ``menus``' product, other than ``sincere_row``,
-    whose ``value`` beats ``baseline``, with that value; or None.
+def _first_lie(mech: Mechanism, instance: Instance, agent: int,
+               menus: Sequence[tuple[Value, ...]], base: tuple[ItemCounts, int],
+               max_nodes: Optional[int],
+               ) -> Optional[tuple[tuple[Value, ...], Value, Value]]:
+    """The first row of ``menus``' product, other than ``agent``'s sincere
+    row, that raises the agent's expected true utility in ``instance`` above
+    its value under ``base``, the sincere run's item counts, with the others
+    bidding sincerely. Returns (row, sincere value, lie value), or None.
 
     The searches pass the view menus, and the answer is the whole grid's:
     the same first lie, and the same point where a work bound trips. Each
@@ -132,11 +136,16 @@ def _first_lie(menus: Sequence[tuple[Value, ...]], sincere_row: tuple[Value, ...
     view representatives (see `Mechanism.view`), and each representative
     is the smallest grid bid with its view, so that row comes no later.
     """
+    u = instance.utilities
+    sincere = BidProfile.sincere(instance)
+    baseline = _true_value(*base, agent, u)
     for row in itertools.product(*menus):
-        if row != sincere_row:
-            v = value(row)
-            if v > baseline:
-                return row, v
+        if row != u[agent]:
+            counts = mech.item_counts(instance, sincere.replace_row(agent, row),
+                                      max_nodes=max_nodes)
+            value = _true_value(*counts, agent, u)
+            if value > baseline:
+                return row, baseline, value
     return None
 
 
@@ -152,8 +161,6 @@ def sp_falsify(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = No
     rows, whichever rows run.
     """
     grid = grid or BidGrid()
-    u = instance.utilities
-    sincere = BidProfile.sincere(instance)
     base = mech.item_counts(instance, max_nodes=max_nodes)
     for agent in range(instance.n):
         menus = [grid.values(instance, agent, j) for j in range(instance.m)]
@@ -166,16 +173,9 @@ def sp_falsify(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = No
             )
         reduced = [_view_menu(mech.view, menu, instance, agent, j)
                    for j, menu in enumerate(menus)]
-
-        def value(row):
-            counts = mech.item_counts(instance, sincere.replace_row(agent, row),
-                                      max_nodes=max_nodes)
-            return _true_value(*counts, agent, u)
-
-        baseline = _true_value(*base, agent, u)
-        found = _first_lie(reduced, u[agent], value, baseline)
+        found = _first_lie(mech, instance, agent, reduced, base, max_nodes)
         if found is not None:
-            return Deviation(agent, found[0], None, baseline, found[1])
+            return Deviation(agent, found[0], None, found[1], found[2])
     return None
 
 
@@ -187,28 +187,22 @@ def osp_falsify(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = N
     comparison is over expected true utility from the items up to and
     including j. Lies that sacrifice now to gain later are invisible here
     on purpose; this captures manipulations that are obvious as played.
-    None reads as in `sp_falsify`.
+    None reads as in `sp_falsify`. Each agent's search is the row scan on
+    the prefix instance through item j, with the earlier bids pinned.
     """
     grid = grid or BidGrid()
     u = instance.utilities
     for item in range(instance.m):
         prefix = instance.prefix(item + 1)
-        sincere = BidProfile.sincere(prefix)
         base = mech.item_counts(prefix, max_nodes=max_nodes)
         for agent in range(instance.n):
-            menu = _view_menu(mech.view, grid.values(instance, agent, item),
-                              instance, agent, item)
-
-            def value(row):
-                bids = sincere.replace_bid(agent, item, row[0])
-                counts = mech.item_counts(prefix, bids, max_nodes=max_nodes)
-                return _true_value(*counts, agent, prefix.utilities)
-
-            baseline = _true_value(*base, agent, prefix.utilities)
-            found = _first_lie([menu], (u[agent][item],), value, baseline)
+            menus = [(x,) for x in u[agent][:item]]
+            menus.append(_view_menu(mech.view, grid.values(instance, agent, item),
+                                    instance, agent, item))
+            found = _first_lie(mech, prefix, agent, menus, base, max_nodes)
             if found is not None:
-                row = u[agent][:item] + found[0] + u[agent][item + 1:]
-                return Deviation(agent, row, item, baseline, found[1])
+                row = found[0] + u[agent][item + 1:]
+                return Deviation(agent, row, item, found[1], found[2])
     return None
 
 

@@ -91,9 +91,9 @@ def test_bid_shape_mismatch(capsys, tmp_path):
     inst.write_text(EX1)
     bids = tmp_path / "bids.txt"
     bids.write_text("2 3\n1 2 1\n2 1 1\n")
-    code, _ = run_cli(capsys, "run", "like",
-                      "--instance", str(inst), "--bids", str(bids))
+    code = main(["run", "like", "--instance", str(inst), "--bids", str(bids)])
     assert code == 3
+    assert "bid profile shape differs from instance" in capsys.readouterr().err
 
 
 def test_missing_instance_file(capsys, tmp_path):

@@ -209,6 +209,26 @@ def test_rule_invariant_violations_are_reported():
         allocate(AlwaysAgentZero(), inst, BidProfile(((1, 0), (1, 0))))
 
 
+def test_feasible_sets_wider_than_the_candidates_are_reported():
+    # the scale L holds lcm(1..1) per item here, so a three-way split of a
+    # weight would floor to zero instead of failing
+    class WiderThanDeclared(FeasibilityRule):
+        name = "wider"
+
+        def candidates(self, bids, positives):
+            return tuple(pos[:1] for pos in positives)
+
+        def feasible(self, state, item, key):
+            return (0, 1, 2)
+
+    inst = Instance(((1, 1), (1, 1), (1, 1)))
+    mech = mechanisms._rule_mechanism("wider", lambda _: WiderThanDeclared(), "bids")
+    with pytest.raises(RuleInvariantError, match="3 feasible agents for item 1"):
+        mech.item_counts(inst)
+    with pytest.raises(RuleInvariantError, match="3 feasible agents for item 1"):
+        mech.run(inst)
+
+
 def test_prefix_of_run_equals_run_on_prefix_for_history_free_rules():
     # rules whose feasible sets ignore future items commute with truncation
     insts = [SWAP, CLOSE, Instance(((1, 0, 2), (2, 1, 1), (0, 1, 3)))]
@@ -226,7 +246,7 @@ DEAD_END = Instance(((18, 10, 10), (17, 4, 13)))
 
 def test_pareto_levels_on_the_swap_instance():
     bids = BidProfile.sincere(SWAP)
-    levels, viable = pareto_levels(bids, _positive_bidders(bids))
+    levels, viable = pareto_levels(bids)
     assert set(levels[0]) == {(1, 0), (0, 2)}
     assert set(levels[1]) == {(3, 0), (2, 2), (0, 3)}
     # no dead ends here, so everything maximal stays reachable
@@ -235,7 +255,7 @@ def test_pareto_levels_on_the_swap_instance():
 
 def test_pareto_levels_prune_unreachable_maximal_vectors():
     bids = BidProfile.sincere(DEAD_END)
-    levels, viable = pareto_levels(bids, _positive_bidders(bids))
+    levels, viable = pareto_levels(bids)
     # (18, 4) is maximal after two items but neither extension survives
     assert (18, 4) in levels[1]
     assert (18, 4) not in viable[1]
@@ -274,7 +294,7 @@ def _brute_levels(bids):
 
 
 def _assert_levels_match(bids):
-    levels, viable = pareto_levels(bids, _positive_bidders(bids))
+    levels, viable = pareto_levels(bids)
     brute_levels, brute_viable = _brute_levels(bids)
     assert [set(lv) for lv in levels] == brute_levels, bids
     assert [set(vs) for vs in viable] == brute_viable, bids
@@ -305,7 +325,7 @@ def test_pareto_levels_match_brute_force_on_fractional_bids():
 
 def test_pareto_levels_return_bid_units_in_descending_order():
     bids = BidProfile(((Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 3), 1)))
-    levels, viable = pareto_levels(bids, _positive_bidders(bids))
+    levels, viable = pareto_levels(bids)
     assert levels[0] == ((Fraction(1, 2), 0), (0, Fraction(1, 3)))
     assert levels[1] == ((Fraction(1, 2), 1), (0, Fraction(4, 3)), (Fraction(5, 6), 0))
     assert viable[1] == frozenset(levels[1])
