@@ -4,7 +4,8 @@ Every checker takes the distribution a mechanism produced and judges it
 against true utilities, which default to the utilities of the instance the
 distribution was computed on. Passing ``utilities`` explicitly supports the
 auditor view: a run on strategic bids judged against the bidders' real
-preferences.
+preferences. Every checker validates explicit utilities once, as
+`Instance` does, so a negative entry raises before any work.
 
 Checkers return an AxiomVerdict carrying the boolean, a slack margin where
 one is meaningful, and a concrete witness when the axiom fails. Agent and
@@ -52,17 +53,25 @@ Utilities = tuple[tuple[Value, ...], ...]
 UtilitiesLike = Union[Instance, Sequence[Sequence[Value]]]
 
 
-def _resolve_utilities(dist: AllocationDistribution,
-                       utilities: Optional[UtilitiesLike]) -> Utilities:
+def _resolve_utilities(dist: AllocationDistribution, utilities: Optional[UtilitiesLike],
+                       ) -> tuple[Utilities, Optional[BidProfile]]:
+    """The judged utility matrix, checked once as an `Instance`'s would be,
+    and the bid profile pep and pea enumerate under: None for the
+    instance's own utilities, else the judged matrix."""
     if utilities is None:
-        return dist.instance.utilities
+        return dist.instance.utilities, None
     if isinstance(utilities, Instance):
         mat = utilities.utilities
     else:
         mat = tuple(tuple(as_value(x) for x in row) for row in utilities)
     if len(mat) != dist.n or any(len(row) != dist.m for row in mat):
         raise ValueError("utility matrix shape differs from the distribution")
-    return mat
+    for row in mat:
+        for x in row:
+            if x < 0:
+                raise ValueError(f"utility matrix entries must be nonnegative, "
+                                 f"got {format_value(x)}")
+    return mat, BidProfile._validated(mat)
 
 
 @dataclass(frozen=True)
@@ -201,7 +210,7 @@ def _ex_post(axiom: str, dist: AllocationDistribution, u: Utilities, *,
 def check_efp(dist: AllocationDistribution,
               utilities: Optional[UtilitiesLike] = None) -> AxiomVerdict:
     """No agent envies another in any allocation the mechanism can output."""
-    return _ex_post("efp", dist, _resolve_utilities(dist, utilities))
+    return _ex_post("efp", dist, _resolve_utilities(dist, utilities)[0])
 
 
 def check_sefp(dist: AllocationDistribution,
@@ -211,7 +220,7 @@ def check_sefp(dist: AllocationDistribution,
     Agent i only gets credit for items in its own bundle that agent k values
     positively, yet must still match its value for k's whole bundle.
     """
-    return _ex_post("sefp", dist, _resolve_utilities(dist, utilities), strong=True)
+    return _ex_post("sefp", dist, _resolve_utilities(dist, utilities)[0], strong=True)
 
 
 class _ExAnte:
@@ -244,23 +253,11 @@ class _ExAnte:
                 for k in range(self.n):
                     row[k] += self.counts[k][item] * x
 
-    def checked(self) -> list[list[int]]:
-        """``cross``, once every value in it is nonnegative, as
-        `ExpectedUtilityMatrix` requires; only explicit negative utilities
-        can break this."""
-        for row in self.cross:
-            for x in row:
-                if x < 0:
-                    raise ValueError("expected utility matrix entries must be nonnegative, "
-                                     f"got {format_value(_value(x, self.scale))}")
-        return self.cross
-
     def expected(self) -> list[list[int]]:
-        """``cross`` over every item, checked as the Fraction matrices it
-        replaces were: every column first, then every expected value."""
+        """``cross`` over every item."""
         for j in range(self.m):
             self.extend(j)
-        return self.checked()
+        return self.cross
 
     def envy(self, axiom: str, own) -> AxiomVerdict:
         """Smallest ``own(i, k) - cross[i][k]`` over ordered pairs."""
@@ -279,7 +276,7 @@ class _ExAnte:
 def check_efa(dist: AllocationDistribution,
               utilities: Optional[UtilitiesLike] = None) -> AxiomVerdict:
     """No agent envies another's expected utility under the item marginals."""
-    ex = _ExAnte(dist, _resolve_utilities(dist, utilities))
+    ex = _ExAnte(dist, _resolve_utilities(dist, utilities)[0])
     cross = ex.expected()
     return ex.envy("efa", lambda i, k: cross[i][i])
 
@@ -287,7 +284,7 @@ def check_efa(dist: AllocationDistribution,
 def check_sefa(dist: AllocationDistribution,
                utilities: Optional[UtilitiesLike] = None) -> AxiomVerdict:
     """Ex ante envy-freeness with own expectations cut to the rival's likes."""
-    ex = _ExAnte(dist, _resolve_utilities(dist, utilities))
+    ex = _ExAnte(dist, _resolve_utilities(dist, utilities)[0])
     ex.expected()
     counts, scaled = ex.counts, ex.scaled
     return ex.envy("sefa", lambda i, k: sum(
@@ -297,18 +294,18 @@ def check_sefa(dist: AllocationDistribution,
 def check_befp(dist: AllocationDistribution,
                utilities: Optional[UtilitiesLike] = None) -> AxiomVerdict:
     """Envy bounded by one item, defined on 0/1 utilities only."""
-    u = _resolve_utilities(dist, utilities)
+    u, _ = _resolve_utilities(dist, utilities)
     if any(x not in (0, 1) for row in u for x in row):
         raise ValueError("bounded envy up to one item is defined for 0/1 utilities")
-    return check_envy_bounded(dist, u, bound=1, axiom="befp")
+    return _ex_post("befp", dist, u, bound=1)
 
 
 def check_envy_bounded(dist: AllocationDistribution,
                        utilities: Optional[UtilitiesLike] = None, *,
-                       bound: Value = 1, axiom: str = "envy-bounded") -> AxiomVerdict:
+                       bound: Value = 1) -> AxiomVerdict:
     """Ex post envy exceeds own utility by at most ``bound`` in every outcome."""
-    u = _resolve_utilities(dist, utilities)
-    return _ex_post(axiom, dist, u, bound=as_value(bound))
+    u, _ = _resolve_utilities(dist, utilities)
+    return _ex_post("envy-bounded", dist, u, bound=as_value(bound))
 
 
 def _own_vector(owners: Sequence[Optional[int]], scaled: list[list[int]]) -> tuple[int, ...]:
@@ -337,8 +334,7 @@ def check_pep(dist: AllocationDistribution,
     enumeration's work bound is applied first, so `WorkBoundExceeded`
     trips whether or not a witness is needed.
     """
-    u = _resolve_utilities(dist, utilities)
-    bids = None if utilities is None else BidProfile(u)
+    u, bids = _resolve_utilities(dist, utilities)
     scaled, _ = integer_rows(u)
     positives = tuple(tuple(i for i, row in enumerate(scaled) if row[j] > 0)
                       for j in range(dist.m))
@@ -362,12 +358,11 @@ def check_pea(dist: AllocationDistribution,
     Solved exactly as a linear program; the margin is the optimal total
     gain, so the axiom holds exactly when the margin is zero.
     """
-    u = _resolve_utilities(dist, utilities)
-    bids = None if utilities is None else BidProfile(u)
+    u, bids = _resolve_utilities(dist, utilities)
     ex = _ExAnte(dist, u)
     cross = ex.expected()
     own = tuple(_value(cross[i][i], ex.scale) for i in range(dist.n))
-    sol = pea_solution(own, dist.instance, bids, values=u, max_nodes=max_nodes)
+    sol = pea_solution(own, dist.instance, bids, max_nodes=max_nodes)
     if sol.objective == 0:
         return AxiomVerdict("pea", True, 0, None)
     return AxiomVerdict("pea", False, sol.objective, ImprovementWitness(sol))
@@ -429,10 +424,10 @@ def check_prefix_efa(dist: AllocationDistribution,
     prefix is judged on the first j columns of the distribution's own
     marginals; no prefix distribution is built.
     """
-    ex = _ExAnte(dist, _resolve_utilities(dist, utilities))
+    ex = _ExAnte(dist, _resolve_utilities(dist, utilities)[0])
+    cross = ex.cross
     for item in range(dist.m):
         ex.extend(item)
-        cross = ex.checked()
         verdict = ex.envy("prefix-efa", lambda i, k: cross[i][i])
         if not verdict.holds:
             return verdict

@@ -95,37 +95,36 @@ def _read_text(path: str) -> str:
 
 
 def _max_nodes(args) -> Optional[int]:
-    if getattr(args, "max_nodes", None) is not None:
+    if args.max_nodes is not None:
         return args.max_nodes
     env = os.environ.get("FAIRDIV_MAX_NODES")
     return int(env) if env else None
 
 
 def _resolve_instance(args) -> Instance:
-    if (args.instance is None) == (getattr(args, "example", None) is None):
+    if (args.instance is None) == (args.example is None):
         raise ValueError("provide exactly one of --instance or --example")
-    if getattr(args, "example", None) is not None:
+    if args.example is not None:
         inst, _ = worked_example(args.example)
         return inst
     return parse_instance(_read_text(args.instance))
 
 
 def _resolve_bids(args) -> Optional[BidProfile]:
-    if getattr(args, "bids", None) is None:
+    if args.bids is None:
         return None
     return parse_bids(_read_text(args.bids))
 
 
 def _resolve_mechanism(args) -> Mechanism:
-    sigma = getattr(args, "sigma", None)
-    if sigma is not None:
-        order = PriorityOrder.from_one_based(int(t) for t in sigma.split(","))
+    if args.sigma is not None:
+        order = PriorityOrder.from_one_based(int(t) for t in args.sigma.split(","))
         return get_mechanism(args.mechanism, sigma=order)
     return get_mechanism(args.mechanism)
 
 
 def _grid_from_args(args) -> BidGrid:
-    extras = tuple(parse_rational(t) for t in (getattr(args, "extra_bid", None) or ()))
+    extras = tuple(parse_rational(t) for t in (args.extra_bid or ()))
     return BidGrid(extras)
 
 

@@ -219,9 +219,6 @@ class Allocation:
         """Items held by ``agent``, in arrival order."""
         return tuple(j for j, o in enumerate(self.owners) if o == agent)
 
-    def discarded(self) -> tuple[int, ...]:
-        return tuple(j for j, o in enumerate(self.owners) if o is None)
-
     def sort_key(self) -> tuple[int, ...]:
         # Discarded items sort before any agent index; only used to fix a
         # deterministic support order.

@@ -134,9 +134,8 @@ def serialize_bids(bids: BidProfile) -> str:
 class DomainSpec:
     """Deterministic recipe for one random instance.
 
-    ``bound`` caps the magnitude of generated values; ``denominator`` is
-    the fixed denominator for non-integer domains, so all values live on
-    the grid k/denominator.
+    ``bound`` caps the magnitude of generated values. Non-integer domains
+    draw every value on the grid k/6.
     """
 
     domain: str
@@ -144,7 +143,6 @@ class DomainSpec:
     m: int
     seed: int
     bound: int = 3
-    denominator: int = 6
 
     def __post_init__(self) -> None:
         if self.domain not in DOMAIN_NAMES:
@@ -153,14 +151,15 @@ class DomainSpec:
             raise ValueError("need at least one agent")
         if self.m < 0:
             raise ValueError("negative item count")
-        if self.bound < 1 or self.denominator < 1:
-            raise ValueError("bound and denominator must be positive")
+        if self.bound < 1:
+            raise ValueError("bound must be positive")
 
 
 def generate(spec: DomainSpec) -> Instance:
     """Draw one instance from the domain, deterministically from the seed."""
     rng = random.Random(spec.seed)
-    n, m, d = spec.n, spec.m, spec.denominator
+    n, m = spec.n, spec.m
+    d = 6  # every non-integer domain draws its values on the grid k/6
     top = spec.bound * d
 
     def frac(k: int) -> Value:
@@ -297,52 +296,44 @@ class ConstructedMechanism:
         return marginal_counts(dist)
 
 
-def _exact_rows(rows: Sequence[Sequence[object]]) -> tuple[tuple[Value, ...], ...]:
-    return tuple(tuple(as_value(x) for x in row) for row in rows)
-
-
-def worked_example(eid: int, *, tilt: Fraction = Fraction(3, 4),
-                   epsilon: Fraction = Fraction(1, 4),
-                   ) -> tuple[Instance, Optional[ConstructedMechanism]]:
+def worked_example(eid: int) -> tuple[Instance, Optional[ConstructedMechanism]]:
     """The library's four built-in worked examples.
 
     1: two agents with swapped preferences over two items; the instance on
        which the six built-in mechanisms all differ in instructive ways.
     2: a mechanism that behaves like ``like`` everywhere except that on one
        instance it gives the second item to agent 2 with probability
-       ``tilt`` in (1/2, 1]; envy-free ex ante without matching like's
-       marginals.
+       3/4; envy-free ex ante without matching like's marginals.
     3: two agents with close values; its Pareto frontier contains a split
        allocation that dictatorship-style mechanisms never return.
     4: a mechanism that behaves like ``maximum-like`` everywhere except on
        the first example's instance, where agent 1 keeps item 1 surely and
-       item 2 with probability 1 - ``epsilon``; the exception leaves agent
-       1 strictly better off than under ``maximum-like`` (needs epsilon <
-       1/2) while mixing in a dominated allocation, so the mechanism is
-       Pareto efficient neither ex post nor ex ante.
+       item 2 with probability 3/4; the exception leaves agent 1 strictly
+       better off than under ``maximum-like`` while mixing in a dominated
+       allocation, so the mechanism is Pareto efficient neither ex post nor
+       ex ante.
     """
     if eid == 1:
-        return Instance(_exact_rows([[1, 2], [2, 1]])), None
+        return Instance(((1, 2), (2, 1))), None
     if eid == 2:
-        inst = Instance(_exact_rows([[1, 1], [0, 1]]))
-        q = Fraction(tilt)
-        if not Fraction(1, 2) < q <= 1:
-            raise ValueError("tilt must lie in (1/2, 1]")
-        support: dict[Allocation, Fraction] = {Allocation((0, 1)): q}
-        if q < 1:
-            support[Allocation((0, 0))] = 1 - q
-        dist = AllocationDistribution.from_map(inst, support)
+        inst = Instance(((1, 1), (0, 1)))
+        # the tilt must lie in (1/2, 1] for the override to stay envy-free
+        # ex ante
+        tilt = Fraction(3, 4)
+        dist = AllocationDistribution.from_map(
+            inst, {Allocation((0, 1)): tilt, Allocation((0, 0)): 1 - tilt})
         mech = ConstructedMechanism("like-with-tilt", like(), ((inst.utilities, dist),))
         return inst, mech
     if eid == 3:
-        return Instance(_exact_rows([[1, 4], [2, 3]])), None
+        return Instance(((1, 4), (2, 3))), None
     if eid == 4:
-        inst = Instance(_exact_rows([[1, 2], [2, 1]]))
-        eps = Fraction(epsilon)
-        if not 0 < eps < Fraction(1, 2):
-            raise ValueError("epsilon must lie in (0, 1/2)")
+        inst = Instance(((1, 2), (2, 1)))
+        # epsilon must lie in (0, 1/2): above 0 to mix in the dominated
+        # allocation, below 1/2 to leave agent 1 better off than under
+        # maximum-like
+        epsilon = Fraction(1, 4)
         dist = AllocationDistribution.from_map(
-            inst, {Allocation((0, 0)): 1 - eps, Allocation((0, 1)): eps}
+            inst, {Allocation((0, 0)): 1 - epsilon, Allocation((0, 1)): epsilon}
         )
         mech = ConstructedMechanism(
             "maximum-like-with-exception", maximum_like(), ((inst.utilities, dist),)
@@ -374,7 +365,7 @@ def counterexample_instances() -> list[Labeled]:
         ("steep-second-agent", [[1, 2], [2, 4]]),
         ("uneven-pair", [[2, 1], [3, 1]]),
     ]
-    return [(label, Instance(_exact_rows(rows))) for label, rows in data]
+    return [(label, Instance(rows)) for label, rows in data]
 
 
 def random_suite(count: int, seed: int, *,

@@ -8,10 +8,8 @@ exact simplex over an integer (fraction-free) tableau. These are the
 oracles that the mechanism engine and the axiom checkers are audited
 against, so they share no shortcuts with them.
 
-Dominance can be judged under two different matrices: the bids (the
-mechanism's view of the world) or the utilities (the auditor's view). The
-``values`` argument picks the matrix; it defaults to the instance's own
-utilities.
+Dominance is judged on the matrix the allocations are enumerated under:
+the bids when they are given, otherwise the instance's utilities.
 """
 
 from __future__ import annotations
@@ -88,7 +86,6 @@ def check_enumeration_bound(positives: Sequence[Sequence[int]],
 
 
 def pareto_frontier(instance: Instance, bids: Optional[BidProfile] = None, *,
-                    values: Optional[Sequence[Sequence[Value]]] = None,
                     max_nodes: Optional[int] = None) -> list[Allocation]:
     """All Pareto efficient non-wasteful allocations, canonically ordered.
 
@@ -97,8 +94,7 @@ def pareto_frontier(instance: Instance, bids: Optional[BidProfile] = None, *,
     vector with a strictly larger sum is at least as large everywhere
     (with an equal sum it would be the same vector).
     """
-    if values is None:
-        values = instance.utilities
+    values = instance.utilities if bids is None else bids.bids
     allocs = enumerate_allocations(instance, bids, max_nodes=max_nodes)
     vectors = [utility_vector(a, values) for a in allocs]
     sums = {v: sum(v) for v in vectors}
@@ -292,7 +288,6 @@ def _simplex_maximize(c: Sequence[Value],
 
 def pea_solution(own_expected: Sequence[Value], instance: Instance,
                  bids: Optional[BidProfile] = None, *,
-                 values: Optional[Sequence[Sequence[Value]]] = None,
                  max_nodes: Optional[int] = None) -> LPSolution:
     """Best Pareto improvement over an expected-utility point, if any.
 
@@ -302,8 +297,7 @@ def pea_solution(own_expected: Sequence[Value], instance: Instance,
     into one LP column. Raises InfeasibleError when the point is not
     achievable by any lottery, which signals a caller error.
     """
-    if values is None:
-        values = instance.utilities
+    values = instance.utilities if bids is None else bids.bids
     n = instance.n
     point = [as_value(x) for x in own_expected]
     if len(point) != n:
@@ -334,8 +328,7 @@ def pea_solution(own_expected: Sequence[Value], instance: Instance,
 
 def is_pea(own_expected: Sequence[Value], instance: Instance,
            bids: Optional[BidProfile] = None, *,
-           values: Optional[Sequence[Sequence[Value]]] = None,
            max_nodes: Optional[int] = None) -> bool:
     """Is the expected-utility point Pareto efficient over all lotteries?"""
-    sol = pea_solution(own_expected, instance, bids, values=values, max_nodes=max_nodes)
+    sol = pea_solution(own_expected, instance, bids, max_nodes=max_nodes)
     return sol.objective == 0

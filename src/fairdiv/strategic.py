@@ -9,6 +9,7 @@ and is evidence bounded by the grid otherwise.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -21,6 +22,7 @@ from .core import (
     WorkBoundExceeded,
     as_value,
     format_value,
+    integer_rows,
 )
 from .mechanisms import Mechanism, RuleInvariantError
 
@@ -33,18 +35,20 @@ class BidGrid:
 
     extra: tuple[Value, ...] = ()
 
+    def __post_init__(self) -> None:
+        extra = tuple(as_value(x) for x in self.extra)
+        if any(x < 0 for x in extra):
+            raise ValueError("bids must be nonnegative")
+        object.__setattr__(self, "extra", extra)
+
     def values(self, instance: Instance, agent: int, item: int) -> tuple[Value, ...]:
         pool = set(instance.column(item))
         pool.update(instance.utilities[agent])
         positive = [x for x in pool if x > 0]
-        grid = {as_value(0)}
-        grid.update(pool)
+        grid = {0, *pool, *self.extra}
         if positive:
             grid.add(as_value(Fraction(min(positive), 2)))
             grid.add(as_value(2 * max(positive)))
-        grid.update(as_value(x) for x in self.extra)
-        if any(x < 0 for x in grid):
-            raise ValueError("bids must be nonnegative")
         return tuple(sorted(grid))
 
 
@@ -96,14 +100,6 @@ class ProbeWitness:
         }
 
 
-def _true_value(counts: Sequence[Sequence[int]], scale: int, agent: int,
-                utilities: Sequence[Sequence[Value]]) -> Value:
-    """An agent's expected true utility from integer item marginals over
-    ``scale``, as returned by `Mechanism.item_counts`."""
-    total = sum(c * u for c, u in zip(counts[agent], utilities[agent]))
-    return as_value(Fraction(total, scale))
-
-
 def _view_menu(view: str, menu: tuple[Value, ...], instance: Instance,
                agent: int, item: int) -> tuple[Value, ...]:
     """``agent``'s grid bids for ``item`` that reach every view of its
@@ -135,17 +131,23 @@ def _first_lie(mech: Mechanism, instance: Instance, agent: int,
     grid row has the outcome and the work bound of the row of its entries'
     view representatives (see `Mechanism.view`), and each representative
     is the smallest grid bid with its view, so that row comes no later.
+
+    Values are compared on the liar's integer utility row by
+    cross-multiplying each run's scale, as `memoryless_probe` does.
     """
     u = instance.utilities
     sincere = BidProfile.sincere(instance)
-    baseline = _true_value(*base, agent, u)
+    (weights,), d = integer_rows([u[agent]])
+    counts, scale = base
+    baseline = sum(map(operator.mul, counts[agent], weights))
     for row in itertools.product(*menus):
         if row != u[agent]:
-            counts = mech.item_counts(instance, sincere.replace_row(agent, row),
-                                      max_nodes=max_nodes)
-            value = _true_value(*counts, agent, u)
-            if value > baseline:
-                return row, baseline, value
+            got, got_scale = mech.item_counts(instance, sincere.replace_row(agent, row),
+                                              max_nodes=max_nodes)
+            total = sum(map(operator.mul, got[agent], weights))
+            if total * scale > baseline * got_scale:
+                return (row, as_value(Fraction(baseline, scale * d)),
+                        as_value(Fraction(total, got_scale * d)))
     return None
 
 

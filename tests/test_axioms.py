@@ -36,6 +36,7 @@ from fairdiv import (
     ex_ante_equivalent,
     ex_post_equivalent,
     expected_utilities,
+    format_value,
     get_mechanism,
     like,
     marginals,
@@ -231,6 +232,11 @@ def _ref_resolve(dist, utilities):
         mat = tuple(tuple(as_value(x) for x in row) for row in utilities)
     if len(mat) != dist.n or any(len(row) != dist.m for row in mat):
         raise ValueError("utility matrix shape differs from the distribution")
+    for row in mat:
+        for x in row:
+            if x < 0:
+                raise ValueError(f"utility matrix entries must be nonnegative, "
+                                 f"got {format_value(x)}")
     return mat
 
 
@@ -339,7 +345,7 @@ def ref_pea(dist, utilities=None, *, max_nodes=None):
     u = _ref_resolve(dist, utilities)
     bids = None if utilities is None else BidProfile(u)
     own = expected_utilities(marginals(dist), u).own()
-    sol = pea_solution(own, dist.instance, bids, values=u, max_nodes=max_nodes)
+    sol = pea_solution(own, dist.instance, bids, max_nodes=max_nodes)
     if sol.objective == 0:
         return AxiomVerdict("pea", True, 0, None)
     return AxiomVerdict("pea", False, sol.objective, ImprovementWitness(sol))
@@ -427,6 +433,7 @@ def test_checkers_match_references_on_strategic_bids_and_auditor_views():
 def test_checkers_match_references_where_errors_are_raised():
     rng = random.Random(20261019)
     raised = set()
+    rejected = 0  # signed matrices with a negative entry
     for _ in range(40):
         n, m = rng.randint(2, 3), rng.randint(2, 4)
         inst = Instance(_fractional_matrix(rng, n, m))
@@ -434,13 +441,22 @@ def test_checkers_match_references_where_errors_are_raised():
         # pep's and pea's enumeration bound trips at 3 allocations
         _assert_checkers_match(dist, max_nodes=3)
         pep = _outcome(check_pep, dist, max_nodes=3)
-        # negative auditor values reach the Fraction matrices' own checks
+        # negative auditor values are rejected up front, by every checker alike
         signed = tuple(tuple(x - 1 for x in row) for row in _fractional_matrix(rng, n, m))
         _assert_checkers_match(dist, signed)
+        negative = [x for row in signed for x in row if x < 0]
+        if negative:
+            rejected += 1
+            message = ("utility matrix entries must be nonnegative, "
+                       f"got {format_value(negative[0])}")
+            for check in (check_efp, check_sefp, check_efa, check_sefa, check_prefix_efa,
+                          check_befp, check_envy_bounded, check_pep, check_pea):
+                assert _outcome(check, dist, signed) == ("ValueError", message), check.__name__
         efa = _outcome(check_efa, dist, signed)
         raised.update(got[0] for got in (pep, efa) if isinstance(got, tuple))
         _assert_checkers_match(dist, ((1,) * (m + 1),) * n)  # wrong shape
     assert raised == {"WorkBoundExceeded", "ValueError"}
+    assert rejected > 30
 
 
 def test_checker_edge_cases():

@@ -130,7 +130,6 @@ def test_allocation_bundles_and_rendering():
     assert alloc.m == 3
     assert alloc.bundle(0) == (0,)
     assert alloc.bundle(1) == (2,)
-    assert alloc.discarded() == (1,)
     assert str(alloc) == "o1:1 o2:- o3:2"
     assert str(Allocation(())) == "(empty)"
     with pytest.raises(ValueError):

@@ -66,15 +66,14 @@ def test_frontier_of_close_values_is_everything():
 
 
 def test_frontier_under_explicit_values():
-    # judged on flat values every allocation is maximal
-    front = pareto_frontier(SWAP, values=((1, 1), (1, 1)))
+    # judged on flat bids every allocation is maximal
+    front = pareto_frontier(SWAP, BidProfile(((1, 1), (1, 1))))
     assert len(front) == 4
 
 
-def _reference_pareto_frontier(instance, bids=None, *, values=None, max_nodes=None):
+def _reference_pareto_frontier(instance, bids=None, *, max_nodes=None):
     """The all-pairs frontier that the distinct-vector test replaced."""
-    if values is None:
-        values = instance.utilities
+    values = instance.utilities if bids is None else bids.bids
     allocs = enumerate_allocations(instance, bids, max_nodes=max_nodes)
     vectors = [utility_vector(a, values) for a in allocs]
     out = []
@@ -116,9 +115,9 @@ def _seeded_fraction_cases(count):
 
 def test_frontier_matches_all_pairs_reference_on_fractional_bids():
     for inst, bids in _seeded_fraction_cases(150):
-        for values in (None, bids.bids):
-            assert (pareto_frontier(inst, bids, values=values)
-                    == _reference_pareto_frontier(inst, bids, values=values))
+        for judged in (None, bids):
+            assert (pareto_frontier(inst, judged)
+                    == _reference_pareto_frontier(inst, judged))
 
 
 def test_enumeration_is_in_canonical_order():
