@@ -41,13 +41,14 @@ from .core import (
     Instance,
     Value,
     as_value,
+    check_work_bound,
     format_value,
     integer_rows,
     marginal_counts,
     marginals,
 )
 from .mechanisms import Mechanism, maximal_levels
-from .oracle import LPSolution, check_enumeration_bound, enumerate_allocations, pea_solution
+from .oracle import LPSolution, enumerate_allocations, pea_solution
 
 Utilities = tuple[tuple[Value, ...], ...]
 UtilitiesLike = Union[Instance, Sequence[Sequence[Value]]]
@@ -338,7 +339,8 @@ def check_pep(dist: AllocationDistribution,
     scaled, _ = integer_rows(u)
     positives = tuple(tuple(i for i, row in enumerate(scaled) if row[j] > 0)
                       for j in range(dist.m))
-    check_enumeration_bound(positives, max_nodes)
+    check_work_bound((len(pos) or 1 for pos in positives), max_nodes,
+                     "enumerated allocations")
     maximal = maximal_levels(scaled, positives)[-1]
     efficient = set(maximal)  # no maximal vector dominates another
     for alloc, _ in dist:

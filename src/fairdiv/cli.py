@@ -56,7 +56,6 @@ from .instances import (
 )
 from .mechanisms import MECHANISM_NAMES, Mechanism, get_mechanism
 from .strategic import (
-    DEFAULT_MAX_CANDIDATES,
     BidGrid,
     memoryless_probe,
     osp_falsify,
@@ -462,8 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, *, bids=True):
         p.add_argument("--max-nodes", type=int, metavar="N",
-                       help="work bound on expansion tree leaves"
-                            " (env FAIRDIV_MAX_NODES)")
+                       help="work bound on expansion tree leaves, orp's priority"
+                            " orders and enumerated allocations (default 10^6,"
+                            " env FAIRDIV_MAX_NODES)")
         p.add_argument("--json", action="store_true", help="machine readable output")
         if bids:
             p.add_argument("--bids", metavar="PATH",
@@ -499,8 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
                        default="sp")
     p_fal.add_argument("--extra-bid", action="append", metavar="P/Q",
                        help="extra value to add to every bid menu; repeatable")
-    p_fal.add_argument("--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES,
-                       help="bound on candidate rows per agent")
+    p_fal.add_argument("--max-candidates", type=int, metavar="N",
+                       help="work bound on the lie rows sp runs per agent"
+                            " (default 10^6)")
     add_common(p_fal, bids=False)
     p_fal.set_defaults(func=cmd_falsify)
 

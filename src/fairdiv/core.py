@@ -34,6 +34,18 @@ class WorkBoundExceeded(FairDivError):
     """The operation would exceed its configured work budget."""
 
 
+def check_work_bound(widths: Iterable[int], max_nodes: Optional[int], what: str) -> None:
+    """Raise WorkBoundExceeded when the product of ``widths`` (the options
+    at each step of an exponential run) exceeds ``max_nodes``, checked as
+    the product grows; None means `DEFAULT_MAX_NODES`."""
+    bound = DEFAULT_MAX_NODES if max_nodes is None else max_nodes
+    total = 1
+    for width in widths:
+        total *= width
+        if total > bound:
+            raise WorkBoundExceeded(f"{what} may exceed {bound}")
+
+
 def as_value(x: object) -> Value:
     """Coerce ``x`` to an exact rational (int, or Fraction in lowest terms).
 

@@ -42,7 +42,6 @@ from itertools import compress, permutations
 from typing import Callable, Hashable, Optional, Sequence
 
 from .core import (
-    DEFAULT_MAX_NODES,
     Allocation,
     AllocationDistribution,
     BidProfile,
@@ -51,8 +50,8 @@ from .core import (
     ItemCounts,
     PriorityOrder,
     Value,
-    WorkBoundExceeded,
     as_value,
+    check_work_bound,
     integer_rows,
 )
 
@@ -343,19 +342,12 @@ def _expand(rule: FeasibilityRule, instance: Instance, bids: BidProfile,
     bound on the tree's leaves, exceeds ``max_nodes``, and
     RuleInvariantError when a feasible set is larger than c_j.
     """
-    bound = DEFAULT_MAX_NODES if max_nodes is None else max_nodes
     n, m = instance.n, instance.m
     positives = _positive_bidders(bids)
     candidates = rule.candidates(bids, positives)
     widths = [max(1, len(pick)) for pick in candidates]
-    leaves = scale = 1
-    for width in widths:
-        leaves *= width
-        if leaves > bound:
-            raise WorkBoundExceeded(
-                f"{rule.name}: expansion tree may exceed {bound} leaves"
-            )
-        scale *= math.lcm(*range(1, width + 1))
+    check_work_bound(widths, max_nodes, f"{rule.name}: expansion tree leaves")
+    scale = math.prod(math.lcm(*range(1, width + 1)) for width in widths)
     state = rule.begin(bids, candidates)
     tally = rule.tally(bids)
     counts = None if keep_owners else [[0] * m for _ in range(n)]
@@ -421,11 +413,9 @@ def _orp_outcomes(instance: Instance, bids: Optional[BidProfile],
                   max_nodes: Optional[int]) -> tuple[dict[tuple, int], int]:
     """How many of the n! priority orders lead to each allocation, and n!."""
     bids = _checked_bids(instance, bids)
-    bound = DEFAULT_MAX_NODES if max_nodes is None else max_nodes
     n = instance.n
+    check_work_bound(range(1, n + 1), max_nodes, "orp: priority orders")
     fact = math.factorial(n)
-    if fact > bound:
-        raise WorkBoundExceeded(f"orp: {n}! priority orders exceed {bound}")
     positives = _positive_bidders(bids)
     outcomes: dict[tuple, int] = {}
     for perm in permutations(range(n)):

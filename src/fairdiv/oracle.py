@@ -22,14 +22,13 @@ from itertools import islice, product
 from typing import Optional, Sequence
 
 from .core import (
-    DEFAULT_MAX_NODES,
     Allocation,
     BidProfile,
     FairDivError,
     Instance,
     Value,
-    WorkBoundExceeded,
     as_value,
+    check_work_bound,
     integer_rows,
 )
 
@@ -66,23 +65,11 @@ def enumerate_allocations(instance: Instance, bids: Optional[BidProfile] = None,
         raise ValueError("bid profile shape differs from instance")
     positives = [tuple(i for i in range(instance.n) if bids.bid(i, j) > 0)
                  for j in range(instance.m)]
-    check_enumeration_bound(positives, max_nodes)
+    check_work_bound((len(pos) or 1 for pos in positives), max_nodes,
+                     "enumerated allocations")
     # product yields canonical order already: each item's options are in
     # ascending agent order, and None is only ever an item's sole option
     return [Allocation(owners) for owners in product(*(pos or (None,) for pos in positives))]
-
-
-def check_enumeration_bound(positives: Sequence[Sequence[int]],
-                            max_nodes: Optional[int] = None) -> None:
-    """Raise WorkBoundExceeded when the non-wasteful allocations over these
-    positive bidders (an item with none is discarded, one way) may exceed
-    ``max_nodes``, checked item by item as the product grows."""
-    bound = DEFAULT_MAX_NODES if max_nodes is None else max_nodes
-    count = 1
-    for pos in positives:
-        count *= len(pos) or 1
-        if count > bound:
-            raise WorkBoundExceeded(f"enumeration may exceed {bound} allocations")
 
 
 def pareto_frontier(instance: Instance, bids: Optional[BidProfile] = None, *,

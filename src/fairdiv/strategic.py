@@ -19,14 +19,12 @@ from .core import (
     Instance,
     ItemCounts,
     Value,
-    WorkBoundExceeded,
     as_value,
+    check_work_bound,
     format_value,
     integer_rows,
 )
 from .mechanisms import Mechanism, RuleInvariantError
-
-DEFAULT_MAX_CANDIDATES = 10**6
 
 
 @dataclass(frozen=True)
@@ -152,30 +150,25 @@ def _first_lie(mech: Mechanism, instance: Instance, agent: int,
 
 
 def sp_falsify(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = None, *,
-               max_candidates: int = DEFAULT_MAX_CANDIDATES,
+               max_candidates: Optional[int] = None,
                max_nodes: Optional[int] = None) -> Optional[Deviation]:
     """Search whole-row lies for one that raises the liar's expected utility.
 
     Agents are tried in ascending order and rows in lexicographic grid
     order, so the first deviation found is deterministic. None covers
     every nonnegative rational row for a "signs" or "tops" mechanism and
-    every grid row for "bids". ``max_candidates`` bounds each agent's grid
-    rows, whichever rows run.
+    every grid row for "bids". The scan runs the rows of the view menus
+    (see `_view_menu`), and ``max_candidates`` (default
+    `DEFAULT_MAX_NODES`) bounds how many of them each agent may run.
     """
     grid = grid or BidGrid()
     base = mech.item_counts(instance, max_nodes=max_nodes)
     for agent in range(instance.n):
-        menus = [grid.values(instance, agent, j) for j in range(instance.m)]
-        count = 1
-        for menu in menus:
-            count *= len(menu)
-        if count > max_candidates:
-            raise WorkBoundExceeded(
-                f"{count} candidate rows for agent {agent + 1} exceed {max_candidates}"
-            )
-        reduced = [_view_menu(mech.view, menu, instance, agent, j)
-                   for j, menu in enumerate(menus)]
-        found = _first_lie(mech, instance, agent, reduced, base, max_nodes)
+        menus = [_view_menu(mech.view, grid.values(instance, agent, j), instance, agent, j)
+                 for j in range(instance.m)]
+        check_work_bound(map(len, menus), max_candidates,
+                         f"candidate rows for agent {agent + 1}")
+        found = _first_lie(mech, instance, agent, menus, base, max_nodes)
         if found is not None:
             return Deviation(agent, found[0], None, found[1], found[2])
     return None
@@ -302,25 +295,21 @@ class MechanismProfile:
         }
 
 
-def classify(mech: Mechanism, suite: Sequence[tuple[str, Instance]],
-             grid: Optional[BidGrid] = None, *,
-             max_candidates: int = DEFAULT_MAX_CANDIDATES,
+def classify(mech: Mechanism, suite: Sequence[tuple[str, Instance]], *,
              max_nodes: Optional[int] = None) -> MechanismProfile:
     """Profile a mechanism on a suite: probes plus the row-lie falsifier."""
-    grid = grid or BidGrid()
     step_w = memoryless_w = sp_w = None
     for label, inst in suite:
         if step_w is None:
-            w = step_probe(mech, inst, grid, max_nodes=max_nodes)
+            w = step_probe(mech, inst, max_nodes=max_nodes)
             if w is not None:
                 step_w = (label, w)
         if memoryless_w is None:
-            w = memoryless_probe(mech, inst, grid, max_nodes=max_nodes)
+            w = memoryless_probe(mech, inst, max_nodes=max_nodes)
             if w is not None:
                 memoryless_w = (label, w)
         if sp_w is None:
-            d = sp_falsify(mech, inst, grid, max_candidates=max_candidates,
-                           max_nodes=max_nodes)
+            d = sp_falsify(mech, inst, max_nodes=max_nodes)
             if d is not None:
                 sp_w = (label, d)
     return MechanismProfile(

@@ -3,7 +3,10 @@
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from fairdiv import parse_instance
@@ -387,3 +390,22 @@ def test_table_and_theorems_text_is_pinned(capsys):
     out = re.sub(r" \(\d+\.\ds\)\n\Z", "\n", out)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "a1c681eee525364d20605ea4c3b46bbc42ad507ea6f39b1c765bff14c1346747")
+
+
+def test_module_entry_exit_codes():
+    # `python -m fairdiv` goes through `entry`, which hands main's code to
+    # sys.exit; the 2x8 instance needs 2^8 lie rows per agent, not the
+    # 233,846,052 rows of its whole bid grid
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    cases = [
+        (("examples", "--id", "1"), "", 0),
+        (("falsify", "like", "--instance", "-"),
+         "2 8\n1 2 3 4 5 6 7 8\n8 7 6 5 4 3 2 9\n", 0),
+        (("falsify", "maximum-like", "--example", "1"), "", 1),
+        (("run", "like", "--example", "1", "--max-nodes", "1"), "", 2),
+        (("run", "no-such-rule", "--example", "1"), "", 3),
+    ]
+    for argv, stdin, code in cases:
+        done = subprocess.run([sys.executable, "-m", "fairdiv", *argv], input=stdin,
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == code, (argv, done.stderr)

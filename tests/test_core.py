@@ -15,12 +15,19 @@ from fairdiv import (
     BidProfile,
     Instance,
     PriorityOrder,
+    WorkBoundExceeded,
     as_value,
     bundle_utility,
+    check_pep,
     expected_utilities,
     format_value,
     get_mechanism,
+    like,
     marginals,
+    maximum_like,
+    orp,
+    osd,
+    sp_falsify,
 )
 from fairdiv.core import marginal_counts
 
@@ -308,3 +315,25 @@ def test_priority_order():
         PriorityOrder((0, 2))
     with pytest.raises(ValueError):
         PriorityOrder((0, 0, 1))
+
+
+_THREE_ITEMS = Instance(((1, 1, 1), (1, 1, 1)))
+
+# Each bounded run with its exact work: like's 2*2*2 tree leaves, orp's 3!
+# priority orders, pep's 2*2*2 enumerated allocations and maximum-like's
+# 3*3 view-menu rows for one agent.
+_BOUNDED_RUNS = {
+    "like leaves": (8, lambda bound: like().run(_THREE_ITEMS, max_nodes=bound)),
+    "orp orders": (6, lambda bound: orp().run(Instance(((1,), (1,), (1,))), max_nodes=bound)),
+    "pep allocations": (8, lambda bound: check_pep(osd().run(_THREE_ITEMS), max_nodes=bound)),
+    "sp rows": (9, lambda bound: sp_falsify(maximum_like(), Instance(((1, 2), (2, 1))),
+                                            max_candidates=bound)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BOUNDED_RUNS))
+def test_every_work_bound_admits_its_exact_work(name):
+    work, call = _BOUNDED_RUNS[name]
+    call(work)
+    with pytest.raises(WorkBoundExceeded, match=f"may exceed {work - 1}$"):
+        call(work - 1)
