@@ -14,7 +14,7 @@ the text file format use 1-based numbering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -97,6 +97,8 @@ def integer_rows(rows: Sequence[Sequence[Value]], base: int = 1) -> tuple[list[l
     scale.
     """
     scale = math.lcm(base, *(x.denominator for row in rows for x in row))
+    if scale == 1:
+        return [list(row) for row in rows], 1
     return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 
@@ -217,11 +219,16 @@ class Allocation:
     def __post_init__(self) -> None:
         owners = tuple(self.owners)
         for o in owners:
-            if o is None:
-                continue
-            if isinstance(o, bool) or not isinstance(o, int) or o < 0:
+            if o is not None and (isinstance(o, bool) or not isinstance(o, int) or o < 0):
                 raise ValueError(f"owner must be None or a nonnegative int, got {o!r}")
         object.__setattr__(self, "owners", owners)
+
+    @classmethod
+    def _trusted(cls, owners: tuple) -> "Allocation":
+        """Allocation over valid owners the library built; no checks."""
+        alloc = object.__new__(cls)
+        object.__setattr__(alloc, "owners", owners)
+        return alloc
 
     @property
     def m(self) -> int:
@@ -232,8 +239,6 @@ class Allocation:
         return tuple(j for j, o in enumerate(self.owners) if o == agent)
 
     def sort_key(self) -> tuple[int, ...]:
-        # Discarded items sort before any agent index; only used to fix a
-        # deterministic support order.
         return tuple(-1 if o is None else o for o in self.owners)
 
     def __str__(self) -> str:
@@ -261,40 +266,44 @@ class AllocationDistribution:
     The support is stored in a canonical deterministic order. Probabilities
     are positive Fractions summing to exactly one. Every allocation in the
     support covers the same item prefix (all of the instance's items, since
-    runs expand the whole horizon). Every distribution is validated; the
-    sum is checked in integers over the lcm of the denominators, so no
-    Fraction is added.
+    runs expand the whole horizon). It is validated in one bulk pass, the
+    sum in integers: ``weights[k]`` is ``entries[k]``'s probability times
+    ``scale``, the lcm of the denominators.
     """
 
     instance: Instance
     entries: tuple[tuple[Allocation, Fraction], ...]
+    weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.entries:
+        entries = self.entries
+        if not entries:
             raise ValueError("distribution must have nonempty support")
-        n, m = self.instance.n, self.instance.m
-        seen = set()
-        for alloc, prob in self.entries:
-            owners = alloc.owners
-            if len(owners) != m:
-                raise ValueError("allocation length differs from instance size")
-            for o in owners:
-                if o is not None and o >= n:
-                    raise ValueError("owner index out of range")
-            # equal owners tuples are equal allocations
-            if owners in seen:
-                raise ValueError("duplicate allocation in support")
-            seen.add(owners)
-            if not isinstance(prob, Fraction):
-                raise ValueError("probabilities must be Fractions")
-            if prob.numerator <= 0:
-                raise ValueError("support probabilities must be positive")
-        scale = math.lcm(*(p.denominator for _, p in self.entries))
-        total = sum(p.numerator * (scale // p.denominator) for _, p in self.entries)
-        if total != scale:
-            raise ValueError(f"probabilities sum to {Fraction(total, scale)}, expected 1")
-        ordered = tuple(sorted(self.entries, key=lambda e: e[0].sort_key()))
+        rows = [alloc.owners for alloc, _ in entries]
+        if set(map(len, rows)) != {self.instance.m}:
+            raise ValueError("allocation length differs from instance size")
+        owners = set().union(*rows)
+        agents = owners - {None}
+        if agents and max(agents) >= self.instance.n:
+            raise ValueError("owner index out of range")
+        if len(set(rows)) != len(rows):  # equal owners tuples are equal allocations
+            raise ValueError("duplicate allocation in support")
+        probs = [p for _, p in entries]
+        if not all(isinstance(p, Fraction) for p in probs):
+            raise ValueError("probabilities must be Fractions")
+        scale = math.lcm(*(p.denominator for p in probs))
+        weights = [p.numerator * (scale // p.denominator) for p in probs]
+        if min(weights) <= 0:
+            raise ValueError("support probabilities must be positive")
+        if sum(weights) != scale:
+            raise ValueError(f"probabilities sum to {Fraction(sum(weights), scale)}, expected 1")
+        # keys are distinct; None and ints do not compare
+        keys = rows if agents == owners else [a.sort_key() for a, _ in entries]
+        _, ordered, weights = zip(*sorted(zip(keys, entries, weights)))
         object.__setattr__(self, "entries", ordered)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "scale", scale)
 
     @classmethod
     def from_map(cls, instance: Instance,
@@ -309,18 +318,21 @@ class AllocationDistribution:
         if not parts:
             raise ValueError("nothing to mix")
         instance = parts[0][0].instance
-        merged: dict[Allocation, Fraction] = {}
+        kept = []
         for dist, weight in parts:
             if dist.instance != instance:
                 raise ValueError("can only mix distributions over one instance")
             w = Fraction(weight)
             if w < 0:
                 raise ValueError("mixture weights must be nonnegative")
-            if w == 0:
-                continue
-            for alloc, prob in dist.entries:
-                merged[alloc] = merged.get(alloc, Fraction(0)) + w * prob
-        return cls.from_map(instance, merged)
+            kept.append((dist, w))
+        scale = math.lcm(*(dist.scale * w.denominator for dist, w in kept))
+        merged: dict[Allocation, int] = {}
+        for dist, w in kept:
+            factor = w.numerator * (scale // (dist.scale * w.denominator))
+            for (alloc, _), c in zip(dist.entries, dist.weights):
+                merged[alloc] = merged.get(alloc, 0) + factor * c
+        return cls.from_map(instance, {a: Fraction(c, scale) for a, c in merged.items() if c})
 
     @property
     def n(self) -> int:
@@ -414,19 +426,16 @@ ItemCounts = list[list[int]]
 def marginal_counts(dist: AllocationDistribution) -> tuple[ItemCounts, int]:
     """Item marginals in integer form ``(counts, L)``.
 
-    ``L`` is the lcm of the support's probability denominators and
-    ``counts[i][j]`` adds ``p * L`` over the support allocations in which
-    agent i owns item j, so agent i gets item j with probability
-    ``counts[i][j] / L``.
+    ``L`` is the distribution's ``scale`` and ``counts[i][j]`` adds its
+    ``weights`` where agent i owns item j: agent i gets item j with
+    probability ``counts[i][j] / L``.
     """
-    scale = math.lcm(*(p.denominator for _, p in dist.entries))
     counts = [[0] * dist.m for _ in range(dist.n)]
-    for alloc, prob in dist.entries:
-        w = prob.numerator * (scale // prob.denominator)
+    for (alloc, _), w in zip(dist.entries, dist.weights):
         for j, o in enumerate(alloc.owners):
             if o is not None:
                 counts[o][j] += w
-    return counts, scale
+    return counts, dist.scale
 
 
 def marginals(dist: AllocationDistribution) -> AssignmentMatrix:

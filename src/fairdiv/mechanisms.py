@@ -18,19 +18,13 @@ Rules differ only in how the feasible set is computed:
 
 orp is the uniform mixture of osd over all priority orders.
 
-The engine, `_expand`, is one forward pass over the items. Each layer maps
-a node, an owner prefix plus the rule's state key, to an int weight over
-one common scale L = prod_j lcm(1..count of item j's candidates), so every
-uniform split is an exact integer division and probabilities become
-Fractions only in what `allocate` returns. The state key is what a rule's
-later feasible sets depend on: each agent's total, over their bundle, of
-the matrix the rule declares as its tally. osd, like and maximum-like
-declare none, so their key is `()`; balanced-like tallies ones, so its key
-is the bundle sizes; pareto-like tallies the bids, so its key is the bid
-totals. `allocate` keeps every owner prefix and turns the last layer into
-a distribution. `Mechanism.item_counts` drops the owners, so nodes with
-equal keys merge, and returns only the integer item marginals over L; the
-deviation searches need nothing more.
+The engine, `_expand`, is one forward pass over the items on int weights
+over one common scale L; probabilities become Fractions only in what
+`allocate` returns. Along each branch it carries the rule's state key (see
+`FeasibilityRule`). `allocate` keeps every owner prefix and turns the last
+layer into a distribution. `Mechanism.item_counts` drops the owners, so
+nodes with equal keys merge, and returns only the integer item marginals
+over L; the deviation searches need nothing more.
 """
 
 from __future__ import annotations
@@ -70,22 +64,19 @@ class FeasibilityRule:
     """Per-item feasible-set policy driving the expansion engine.
 
     `candidates` names, for each item, the agents the rule can ever pick
-    there: by default its positive bidders. The engine multiplies their
-    counts over the items for its work bound before any other work, and its
-    weight scale L holds lcm(1..count) for each item, so every uniform split
-    of a weight is exact. `begin` then runs once per mechanism run and
+    there (by default its positive bidders); their counts set the engine's
+    work bound and scale L. `begin` runs once per mechanism run and
     returns the state `feasible` reads; by default that is the candidates,
     and `feasible` returns the item's.
 
-    Along each branch the engine carries a state key, which
-    `feasible(state, item, key)` reads. `tally(bids)` declares it: None
-    keeps the key at `()`; an n x m matrix makes the key each agent's total
-    of the matrix over their bundle, from zeros. The key holds exactly what
-    the rule's future feasible sets depend on beyond the bids: nothing for
-    osd, like and maximum-like, the bundle sizes for balanced-like (a
-    matrix of ones; discarded items count for nobody), and each agent's bid
-    total for their bundle for pareto-like (the bids). Branches with equal
-    keys therefore continue identically, which is what lets the
+    `feasible(state, item, key)` also reads the branch's state key, which
+    `tally(bids)` declares: None keeps it at `()`; an n x m matrix makes it
+    each agent's total of the matrix over their bundle. The key holds
+    exactly what the rule's future feasible sets depend on beyond the bids:
+    nothing for osd, like and maximum-like, the bundle sizes for
+    balanced-like (ones; discarded items count for nobody), and the bid
+    totals for pareto-like (the bids on their integer scale). Branches with
+    equal keys therefore continue identically, which lets the
     marginals-only pass merge them.
     """
 
@@ -264,34 +255,30 @@ class ParetoLikeRule(FeasibilityRule):
     Giving item j to agent i is feasible when the extended partial
     allocation is Pareto maximal among allocations of the same item prefix
     and the remaining items can still be assigned without leaving the
-    maximal sets. The second condition matters: a maximal prefix can have
-    only dominated extensions, and allowing such a branch would strand
-    probability mass on item sequences nobody can finish efficiently.
-    Every efficient complete allocation passes both conditions at every
-    step, so exactly the efficient allocations are returned.
-
-    The key is the vector of each agent's bid total for their bundle.
+    maximal sets: a maximal prefix can have only dominated extensions,
+    which would strand probability mass. Every efficient complete
+    allocation passes both conditions at every step, so exactly the
+    efficient allocations are returned. The key (each agent's bid total
+    for their bundle) and the viable sets are on the bids' integer scale.
     """
 
     name = "pareto-like"
 
     def begin(self, bids, candidates):
         # the candidates are the positive bidders
-        _, viable = pareto_levels(bids)
-        return candidates, viable, bids
+        scaled = self.tally(bids)
+        _, viable = pareto_levels(BidProfile._validated(tuple(map(tuple, scaled))))
+        return candidates, viable, scaled
 
     def tally(self, bids):
-        return bids.bids
+        return integer_rows(bids.bids)[0]
 
     def feasible(self, state, item, key):
-        positives, viable, bids = state
-        pos = positives[item]
-        if not pos:
-            return ()
+        positives, viable, scaled = state
         out = []
-        for i in pos:
+        for i in positives[item]:
             ext = list(key)
-            ext[i] += bids.bid(i, item)
+            ext[i] += scaled[i][item]
             if tuple(ext) in viable[item]:
                 out.append(i)
         return tuple(out)
@@ -336,11 +323,10 @@ def _expand(rule: FeasibilityRule, instance: Instance, bids: BidProfile,
     nodes merge and the last layer lists every allocation once. Without
     it the owners stay ``()``, nodes with equal keys merge, and each share
     is added into ``counts[i][j]``; the returned counts are None otherwise.
-    The key is ``()`` when the rule's `tally` is None, and each agent's
-    tally total otherwise. Returns (last layer, counts, L). Raises
-    WorkBoundExceeded before `begin` runs when the product of the c_j, a
-    bound on the tree's leaves, exceeds ``max_nodes``, and
-    RuleInvariantError when a feasible set is larger than c_j.
+    Returns (last layer, counts, L). Raises WorkBoundExceeded before
+    `begin` runs when the product of the c_j, a bound on the tree's leaves,
+    exceeds ``max_nodes``, and RuleInvariantError when a feasible set is
+    larger than c_j.
     """
     n, m = instance.n, instance.m
     positives = _positive_bidders(bids)
@@ -404,9 +390,10 @@ def allocate(rule: FeasibilityRule, instance: Instance,
     """
     bids = _checked_bids(instance, bids)
     layer, _, scale = _expand(rule, instance, bids, max_nodes, keep_owners=True)
+    # leaves of equal weight share one Fraction
+    probs = {w: Fraction(w, scale) for w in set(layer.values())}
     return AllocationDistribution.from_map(
-        instance, {Allocation(owners): Fraction(w, scale) for (owners, _), w in layer.items()}
-    )
+        instance, {Allocation._trusted(owners): probs[w] for (owners, _), w in layer.items()})
 
 
 def _orp_outcomes(instance: Instance, bids: Optional[BidProfile],
@@ -440,9 +427,8 @@ def orp_distribution(instance: Instance, bids: Optional[BidProfile] = None, *,
     deterministic outcomes are merged with weight 1/n!.
     """
     outcomes, fact = _orp_outcomes(instance, bids, max_nodes)
-    return AllocationDistribution.from_map(
-        instance, {Allocation(owners): Fraction(c, fact) for owners, c in outcomes.items()}
-    )
+    return AllocationDistribution.from_map(instance, {
+        Allocation._trusted(owners): Fraction(c, fact) for owners, c in outcomes.items()})
 
 
 def _orp_counts(instance: Instance, bids: Optional[BidProfile],

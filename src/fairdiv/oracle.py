@@ -69,7 +69,7 @@ def enumerate_allocations(instance: Instance, bids: Optional[BidProfile] = None,
                      "enumerated allocations")
     # product yields canonical order already: each item's options are in
     # ascending agent order, and None is only ever an item's sole option
-    return [Allocation(owners) for owners in product(*(pos or (None,) for pos in positives))]
+    return [Allocation._trusted(o) for o in product(*(pos or (None,) for pos in positives))]
 
 
 def pareto_frontier(instance: Instance, bids: Optional[BidProfile] = None, *,

@@ -409,3 +409,22 @@ def test_module_entry_exit_codes():
         done = subprocess.run([sys.executable, "-m", "fairdiv", *argv], input=stdin,
                               capture_output=True, text=True, env=env, timeout=60)
         assert done.returncode == code, (argv, done.stderr)
+
+
+FRACTIONAL_3X4 = "3 4\n1/2 2 0 5/3\n3/4 1 1/6 0\n2 1/3 1/2 1\n"
+
+
+def test_run_json_bytes_are_pinned(capsys, monkeypatch):
+    # every mechanism's distribution, marginals and expected utilities on the
+    # worked examples and one fractional instance; support order and every
+    # probability are part of the digest
+    digest = hashlib.sha256()
+    for name in ("osd", "orp", "like", "balanced-like", "maximum-like", "pareto-like"):
+        for source in (("--example", "1"), ("--example", "2"), ("--example", "3"),
+                       ("--example", "4"), ("--instance", "-")):
+            monkeypatch.setattr("sys.stdin", io.StringIO(FRACTIONAL_3X4))
+            code, out = run_cli(capsys, "run", name, *source, "--json")
+            assert code == 0, (name, source)
+            digest.update(out.encode("utf-8"))
+    assert digest.hexdigest() == (
+        "bbf0a7603d82a3265f3cc889740e1343f0c5f4b78cd982078d1607bf07264a3f")

@@ -214,6 +214,68 @@ def test_distribution_support_is_canonically_ordered():
     assert [a.owners for a in dist.support()] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
+_A = Allocation
+_HALF = Fraction(1, 2)
+
+
+# one fault per input; each message is the one this input has always raised
+@pytest.mark.parametrize("entries, message", [
+    ((), "distribution must have nonempty support"),
+    (((_A((0,)), Fraction(1)),), "allocation length differs from instance size"),
+    (((_A((0, 2)), Fraction(1)),), "owner index out of range"),
+    (((_A((0, 1)), _HALF), (_A((0, 1)), _HALF)), "duplicate allocation in support"),
+    (((_A((0, 1)), 1),), "probabilities must be Fractions"),
+    (((_A((0, 1)), Fraction(0)), (_A((1, 1)), Fraction(1))),
+     "support probabilities must be positive"),
+    (((_A((0, 1)), Fraction(-1, 2)), (_A((1, 1)), Fraction(3, 2))),
+     "support probabilities must be positive"),
+    (((_A((0, 1)), _HALF), (_A((1, 1)), Fraction(1, 3))),
+     "probabilities sum to 5/6, expected 1"),
+], ids=["empty", "short", "owner", "duplicate", "type", "zero", "negative", "sum"])
+def test_distribution_single_fault_messages(entries, message):
+    with pytest.raises(ValueError) as err:
+        AllocationDistribution(Instance(((1, 2), (2, 1))), entries)
+    assert str(err.value) == message
+
+
+def test_distribution_keeps_integer_weights():
+    inst = Instance(((1, 2, 1), (2, 1, 1)))
+    dist = AllocationDistribution.from_map(inst, {
+        _A((1, None, 0)): Fraction(1, 6),
+        _A((0, 1, 0)): _HALF,
+        _A((0, None, 1)): Fraction(1, 3),
+    })
+    # a discarded item sorts before any agent
+    assert [a.owners for a in dist.support()] == [(0, None, 1), (0, 1, 0), (1, None, 0)]
+    assert (dist.weights, dist.scale) == ((2, 3, 1), 6)
+    assert all(Fraction(w, dist.scale) == p for (_, p), w in zip(dist.entries, dist.weights))
+
+
+def test_mix_sums_on_one_scale_and_keeps_its_errors():
+    inst = Instance(((1, 2), (2, 1)))
+    thirds = AllocationDistribution.from_map(
+        inst, {_A((0, 0)): Fraction(1, 3), _A((1, 1)): Fraction(2, 3)})
+    quarters = AllocationDistribution.from_map(
+        inst, {_A((0, 0)): Fraction(1, 4), _A((0, 1)): Fraction(3, 4)})
+    parts = [(thirds, Fraction(2, 5)), (quarters, Fraction(3, 5)), (thirds, 0)]
+    want: dict = {}
+    for dist, weight in parts:
+        for alloc, prob in dist:
+            want[alloc] = want.get(alloc, Fraction(0)) + weight * prob
+    mixed = AllocationDistribution.mix(parts)
+    assert mixed == AllocationDistribution.from_map(inst, {a: p for a, p in want.items() if p})
+    assert mixed.scale == 60
+    other = AllocationDistribution.from_map(Instance(((1, 2), (2, 2))), {_A((0, 0)): 1})
+    for bad, message in (([], "nothing to mix"),
+                         ([(thirds, Fraction(-1, 2)), (quarters, Fraction(3, 2))],
+                          "mixture weights must be nonnegative"),
+                         ([(thirds, _HALF), (other, _HALF)],
+                          "can only mix distributions over one instance")):
+        with pytest.raises(ValueError) as err:
+            AllocationDistribution.mix(bad)
+        assert str(err.value) == message
+
+
 def test_distribution_mix_and_prefix():
     inst = Instance(((1, 2), (2, 1)))
     d1 = AllocationDistribution.from_map(inst, {Allocation((0, 0)): 1})

@@ -34,6 +34,7 @@ from fairdiv import (
     pareto_like,
 )
 from fairdiv import mechanisms
+from fairdiv.core import marginal_counts
 from fairdiv.mechanisms import (
     BalancedLikeRule,
     FeasibilityRule,
@@ -428,8 +429,9 @@ def _walk_key(rule, sizes, totals):
 def _reference_allocate(rule, instance, bids=None, *, max_nodes=None):
     """The recursive tree walk that `allocate` ran before the layered pass,
     kept as the reference path. Each leaf adds Fraction(1, den) to its
-    allocation. The walk keeps its own bundle sizes and bid totals; the
-    only change is that `_walk_key` turns them into the rule's key."""
+    allocation. The walk keeps its own bundle sizes and totals of the
+    rule's tally (the bids when it declares none); the only change is that
+    `_walk_key` turns them into the rule's key."""
     if bids is None:
         bids = BidProfile.sincere(instance)
     if not bids.matches(instance):
@@ -445,6 +447,7 @@ def _reference_allocate(rule, instance, bids=None, *, max_nodes=None):
                 f"{rule.name}: expansion tree may exceed {bound} leaves"
             )
     state = rule.begin(bids, candidates)
+    tally = rule.tally(bids) or bids.bids
     n, m = instance.n, instance.m
     owners = [None] * m
     sizes = [0] * n
@@ -473,9 +476,9 @@ def _reference_allocate(rule, instance, bids=None, *, max_nodes=None):
         for i in feas:
             owners[j] = i
             sizes[i] += 1
-            totals[i] += bids.bid(i, j)
+            totals[i] += tally[i][j]
             walk(j + 1, den * k)
-            totals[i] -= bids.bid(i, j)
+            totals[i] -= tally[i][j]
             sizes[i] -= 1
         owners[j] = None
 
@@ -575,6 +578,46 @@ def test_engine_matches_walk_on_fractional_bids(exact_splits):
     for inst, bids in cases:
         _assert_engine_matches_walk(inst, bids)
     assert 3 in exact_splits
+
+
+def test_runs_equal_freshly_validated_distributions_on_2x3_grid():
+    # allocate and orp build their support through the unchecked Allocation
+    # constructor; rebuilding it through the checked one changes nothing
+    inst = Instance(((1, 1, 1), (1, 1, 1)))
+    for flat in product(range(3), repeat=6):
+        bids = BidProfile((flat[:3], flat[3:]))
+        for name in MECHANISM_NAMES:
+            dist = get_mechanism(name).run(inst, bids)
+            fresh = AllocationDistribution.from_map(
+                inst, {Allocation(a.owners): p for a, p in dist.entries})
+            assert dist == fresh and hash(dist) == hash(fresh), (name, bids)
+            assert [(a.owners, p) for a, p in dist.entries] == [
+                (a.owners, p) for a, p in fresh.entries], (name, bids)
+            counts, scale = marginal_counts(dist)
+            want = [[sum((p for a, p in dist.entries if a.owners[j] == i), Fraction(0))
+                     for j in range(3)] for i in range(2)]
+            assert [[Fraction(c, scale) for c in row] for row in counts] == want, (name, bids)
+
+
+def test_pareto_like_ignores_one_positive_bid_scale():
+    # its key is the bid totals on the bids' integer scale, so multiplying
+    # every bid by one positive constant must leave the outcome alone
+    rng = random.Random(20261019)
+    mech = pareto_like()
+    for _ in range(60):
+        n, m = rng.randint(2, 3), rng.randint(2, 4)
+        rows = [[Fraction(rng.randint(0, 6), rng.randint(1, 6)) for _ in range(m)]
+                for _ in range(n)]
+        for j in range(m):
+            if all(row[j] == 0 for row in rows):
+                rows[rng.randrange(n)][j] = Fraction(1, rng.randint(1, 6))
+        inst = Instance(tuple(map(tuple, rows)))
+        bids = BidProfile.sincere(inst)
+        dist, counts = mech.run(inst, bids), mech.item_counts(inst, bids)
+        for c in (Fraction(1, 6), Fraction(5, 3), 12):
+            scaled = BidProfile(tuple(tuple(c * x for x in row) for row in rows))
+            assert mech.run(inst, scaled).entries == dist.entries, (rows, c)
+            assert mech.item_counts(inst, scaled) == counts, (rows, c)
 
 
 def test_item_counts_keep_the_work_bound():

@@ -126,6 +126,15 @@ def test_enumeration_is_in_canonical_order():
         assert allocs == sorted(allocs, key=Allocation.sort_key)
 
 
+def test_enumerated_allocations_equal_checked_ones():
+    # enumeration builds its allocations unchecked, since product's owner
+    # tuples are valid by construction
+    for inst, bids in _seeded_fraction_cases(150):
+        allocs = enumerate_allocations(inst, bids)
+        checked = [Allocation(a.owners) for a in allocs]
+        assert allocs == checked and list(map(hash, allocs)) == list(map(hash, checked))
+
+
 def test_efficient_ex_post_can_still_lose_to_a_lottery():
     # splitting the items here is undominated by any single allocation but
     # a coin flip between the two dictatorship outcomes beats it
