@@ -14,6 +14,7 @@ the text file format use 1-based numbering.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -451,23 +452,21 @@ def marginals(dist: AllocationDistribution) -> AssignmentMatrix:
 
 def expected_utilities(p: AssignmentMatrix,
                        utilities: Sequence[Sequence[Value]]) -> ExpectedUtilityMatrix:
-    """Cross-evaluation of expected bundles under the given utility matrix."""
+    """Cross-evaluation of expected bundles under the given utility matrix.
+
+    The sums are taken in integers: ``p`` and ``utilities`` each go onto
+    one integer scale (`integer_rows`), and each cell becomes one Fraction
+    at the end.
+    """
     n, m = p.n, p.m
     if len(utilities) != n or (m and len(utilities[0]) != m):
         raise ValueError("utility matrix shape differs from assignment matrix")
-    out = []
-    for i in range(n):
-        row_i = utilities[i]
-        vals = []
-        for k in range(n):
-            total: Value = 0
-            pk = p.p[k]
-            for j in range(m):
-                if pk[j]:
-                    total += pk[j] * row_i[j]
-            vals.append(as_value(total))
-        out.append(tuple(vals))
-    return ExpectedUtilityMatrix(tuple(out))
+    probs, p_scale = integer_rows(p.p)
+    values, u_scale = integer_rows(utilities)
+    scale = p_scale * u_scale
+    return ExpectedUtilityMatrix(tuple(
+        tuple(as_value(Fraction(sum(map(operator.mul, pk, row_i)), scale)) for pk in probs)
+        for row_i in values))
 
 
 @dataclass(frozen=True)

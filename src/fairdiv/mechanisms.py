@@ -65,9 +65,9 @@ class FeasibilityRule:
 
     `candidates` names, for each item, the agents the rule can ever pick
     there (by default its positive bidders); their counts set the engine's
-    work bound and scale L. `begin` runs once per mechanism run and
-    returns the state `feasible` reads; by default that is the candidates,
-    and `feasible` returns the item's.
+    work bound and scale L. `begin(bids, candidates, tally)` runs once per
+    mechanism run, after `tally`, and returns the state `feasible` reads;
+    by default that is the candidates, and `feasible` returns the item's.
 
     `feasible(state, item, key)` also reads the branch's state key, which
     `tally(bids)` declares: None keeps it at `()`; an n x m matrix makes it
@@ -86,7 +86,8 @@ class FeasibilityRule:
                    ) -> tuple[tuple[int, ...], ...]:
         return positives
 
-    def begin(self, bids: BidProfile, candidates: tuple[tuple[int, ...], ...]) -> object:
+    def begin(self, bids: BidProfile, candidates: tuple[tuple[int, ...], ...],
+              tally: Optional[Sequence[Sequence[Value]]]) -> object:
         return candidates
 
     def tally(self, bids: BidProfile) -> Optional[Sequence[Sequence[Value]]]:
@@ -162,7 +163,7 @@ def _undominated(vectors: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
     everywhere; it is maximal exactly when that is its own bit alone. N
     distinct vectors of length n cost O(N * n) operations on N-bit ints.
     """
-    distinct = sorted(set(vectors), key=lambda v: (sum(v), v), reverse=True)
+    distinct = [v for _, v in sorted({(sum(v), v) for v in vectors}, reverse=True)]
     above = [-1] * len(distinct)
     for column in zip(*distinct):
         at_least: dict[int, int] = {}
@@ -203,9 +204,40 @@ def maximal_levels(scaled: Sequence[Sequence[int]], positives: tuple[tuple[int, 
     return levels
 
 
+def _pareto_moves(scaled: Sequence[Sequence[int]], positives: tuple[tuple[int, ...], ...],
+                  ) -> tuple[list, list[dict]]:
+    """`maximal_levels` and pareto-like's moves table, on ints: ``moves[j]``
+    maps each viable vector of ``levels[j]`` (items j onward can be assigned
+    without leaving the levels) to the positive bidders of item j whose
+    move stays viable, or to ``()`` when item j is discarded."""
+    levels = maximal_levels(scaled, positives)
+    moves = []
+    viable = dict.fromkeys(levels[-1])
+    for j in range(len(positives) - 1, -1, -1):
+        pos = positives[j]
+        table = {}
+        for v in levels[j]:
+            if not pos:
+                if v in viable:
+                    table[v] = ()
+                continue
+            movers = []
+            for i in pos:
+                w = list(v)
+                w[i] += scaled[i][j]
+                if tuple(w) in viable:
+                    movers.append(i)
+            if movers:
+                table[v] = tuple(movers)
+        moves.append(table)
+        viable = table
+    moves.reverse()
+    return levels, moves
+
+
 def pareto_levels(bids: BidProfile) -> tuple[tuple[tuple[tuple[Value, ...], ...], ...],
                                              tuple[frozenset, ...]]:
-    """Per-prefix efficiency structure of a bid matrix.
+    """Per-prefix efficiency structure of a bid matrix, in bid units.
 
     Returns, for every prefix length 1..m, the Pareto-maximal achievable
     bid-value vectors, and the subset of them from which the remaining
@@ -213,34 +245,14 @@ def pareto_levels(bids: BidProfile) -> tuple[tuple[tuple[tuple[Value, ...], ...]
     maximal prefix vector can lack any maximal extension, so the second
     family is what a rule must stay inside to never get stuck.
 
-    The bid matrix is first put on one integer scale (`integer_rows`), so
-    every level is built by `maximal_levels` and filtered on int tuples;
-    dominance and the look-ahead are unchanged by a positive scale. Both
-    families come back in bid units, each level in descending order of
-    (sum, vector).
+    Both come from `_pareto_moves` on the bids' integer scale, read back in
+    bid units, each level in descending order of (sum, vector).
     """
-    m = bids.m
-    positives = _positive_bidders(bids)
     scaled, scale = integer_rows(bids.bids)
-    levels = maximal_levels(scaled, positives)[1:]
-    viable: list[frozenset] = [frozenset()] * m
-    if m:
-        viable[m - 1] = frozenset(levels[m - 1])
-        for j in range(m - 1, 0, -1):
-            pos = positives[j]
-            keep = set()
-            for v in levels[j - 1]:
-                if not pos:
-                    if v in viable[j]:
-                        keep.add(v)
-                    continue
-                for i in pos:
-                    w = list(v)
-                    w[i] += scaled[i][j]
-                    if tuple(w) in viable[j]:
-                        keep.add(v)
-                        break
-            viable[j - 1] = frozenset(keep)
+    levels, moves = _pareto_moves(scaled, _positive_bidders(bids))
+    levels = levels[1:]
+    # the whole last level is viable
+    viable = [frozenset(table) for table in moves[1:]] + [frozenset(lv) for lv in levels[-1:]]
     if scale != 1:
         unit = {v: tuple(as_value(Fraction(x, scale)) for x in v) for lv in levels for v in lv}
         levels = [[unit[v] for v in lv] for lv in levels]
@@ -258,30 +270,30 @@ class ParetoLikeRule(FeasibilityRule):
     maximal sets: a maximal prefix can have only dominated extensions,
     which would strand probability mass. Every efficient complete
     allocation passes both conditions at every step, so exactly the
-    efficient allocations are returned. The key (each agent's bid total
-    for their bundle) and the viable sets are on the bids' integer scale.
+    efficient allocations are returned.
+
+    So it reads later bids: on ``Instance(((1, 3, 1), (2, 3, 1)))`` items
+    1-2 go to agents (1, 1), (2, 1) and (2, 2) with probabilities 1/2, 1/4
+    and 1/4, but each of the four prefixes gets 1/4 under
+    ``instance.prefix(2)`` or with item-3 bids (0, 1). The key (bid
+    totals) and `begin`'s moves table are on `tally`'s integer scale.
     """
 
     name = "pareto-like"
 
-    def begin(self, bids, candidates):
+    def begin(self, bids, candidates, tally):
         # the candidates are the positive bidders
-        scaled = self.tally(bids)
-        _, viable = pareto_levels(BidProfile._validated(tuple(map(tuple, scaled))))
-        return candidates, viable, scaled
+        return _pareto_moves(tally, candidates)[1]
 
     def tally(self, bids):
         return integer_rows(bids.bids)[0]
 
     def feasible(self, state, item, key):
-        positives, viable, scaled = state
-        out = []
-        for i in positives[item]:
-            ext = list(key)
-            ext[i] += scaled[i][item]
-            if tuple(ext) in viable[item]:
-                out.append(i)
-        return tuple(out)
+        try:
+            return state[item][key]
+        except KeyError:
+            raise RuleInvariantError(
+                f"{self.name}: bid totals {key} off the table at item {item + 1}") from None
 
 
 def _positive_bidders(bids: BidProfile) -> tuple[tuple[int, ...], ...]:
@@ -334,8 +346,8 @@ def _expand(rule: FeasibilityRule, instance: Instance, bids: BidProfile,
     widths = [max(1, len(pick)) for pick in candidates]
     check_work_bound(widths, max_nodes, f"{rule.name}: expansion tree leaves")
     scale = math.prod(math.lcm(*range(1, width + 1)) for width in widths)
-    state = rule.begin(bids, candidates)
     tally = rule.tally(bids)
+    state = rule.begin(bids, candidates, tally)
     counts = None if keep_owners else [[0] * m for _ in range(n)]
     layer: dict[tuple[tuple, Hashable], int] = {((), () if tally is None else (0,) * n): scale}
     for j in range(m):

@@ -1,15 +1,16 @@
 """Ground-truth allocation analysis: enumeration, dominance, and exact LP.
 
 Everything here is deliberately brute force. Allocations are enumerated
-item by item, the Pareto frontier comes from a pairwise test over the
-distinct utility vectors, and the question "can any lottery over
+item by item, the Pareto frontier tests each distinct utility vector
+against the maxima before it, and the question "can any lottery over
 allocations beat this expected utility point" is decided by a small
 exact simplex over an integer (fraction-free) tableau. These are the
 oracles that the mechanism engine and the axiom checkers are audited
 against, so they share no shortcuts with them.
 
-Dominance is judged on the matrix the allocations are enumerated under:
-the bids when they are given, otherwise the instance's utilities.
+Dominance is judged on the matrix the allocations are enumerated under,
+on its integer scale: the bids when they are given, otherwise the
+instance's utilities.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
+from itertools import product
 from typing import Optional, Sequence
 
 from .core import (
@@ -63,8 +64,7 @@ def enumerate_allocations(instance: Instance, bids: Optional[BidProfile] = None,
         bids = BidProfile.sincere(instance)
     if not bids.matches(instance):
         raise ValueError("bid profile shape differs from instance")
-    positives = [tuple(i for i in range(instance.n) if bids.bid(i, j) > 0)
-                 for j in range(instance.m)]
+    positives = [tuple(i for i, x in enumerate(column) if x > 0) for column in zip(*bids.bids)]
     check_work_bound((len(pos) or 1 for pos in positives), max_nodes,
                      "enumerated allocations")
     # product yields canonical order already: each item's options are in
@@ -72,27 +72,41 @@ def enumerate_allocations(instance: Instance, bids: Optional[BidProfile] = None,
     return [Allocation._trusted(o) for o in product(*(pos or (None,) for pos in positives))]
 
 
+def _scaled_vectors(allocs: Sequence[Allocation], values: Sequence[Sequence[Value]],
+                    ) -> tuple[list[tuple[int, ...]], int]:
+    """Each allocation's utility vector on ``values``' integer scale."""
+    scaled, scale = integer_rows(values)
+    n = len(scaled)
+    vectors = []
+    for a in allocs:
+        acc = [0] * n
+        for j, o in enumerate(a.owners):
+            if o is not None:
+                acc[o] += scaled[o][j]
+        vectors.append(tuple(acc))
+    return vectors, scale
+
+
 def pareto_frontier(instance: Instance, bids: Optional[BidProfile] = None, *,
                     max_nodes: Optional[int] = None) -> list[Allocation]:
     """All Pareto efficient non-wasteful allocations, canonically ordered.
 
-    Each allocation's utility vector is computed once, and the pairwise
-    test runs over the distinct vectors: a vector is dominated when some
-    vector with a strictly larger sum is at least as large everywhere
-    (with an equal sum it would be the same vector).
+    The distinct integer vectors are tested in descending order of sum,
+    each only against the maxima found before it: an equal sum never
+    dominates, and dominance is transitive, so a dominated vector is
+    dominated by an earlier maximum.
     """
     values = instance.utilities if bids is None else bids.bids
     allocs = enumerate_allocations(instance, bids, max_nodes=max_nodes)
-    vectors = [utility_vector(a, values) for a in allocs]
-    sums = {v: sum(v) for v in vectors}
-    ranked = sorted(sums, key=sums.__getitem__, reverse=True)
-    maximal = set()
-    larger = 0  # ranked[:larger] holds exactly the vectors with a larger sum
-    for k, va in enumerate(ranked):
-        if sums[va] != sums[ranked[larger]]:
-            larger = k
-        if not any(all(map(operator.ge, vb, va)) for vb in islice(ranked, larger)):
-            maximal.add(va)
+    vectors, _ = _scaled_vectors(allocs, values)
+    maxima: list[tuple[int, ...]] = []
+    for v in sorted(set(vectors), key=sum, reverse=True):
+        for w in maxima:
+            if all(map(operator.ge, w, v)):
+                break
+        else:
+            maxima.append(v)
+    maximal = set(maxima)
     return [a for a, v in zip(allocs, vectors) if v in maximal]
 
 
@@ -290,11 +304,12 @@ def pea_solution(own_expected: Sequence[Value], instance: Instance,
     if len(point) != n:
         raise ValueError("expected one utility per agent")
     allocs = enumerate_allocations(instance, bids, max_nodes=max_nodes)
-    groups: dict[tuple[Value, ...], Allocation] = {}
-    for a in allocs:
-        v = utility_vector(a, values)
+    scaled, scale = _scaled_vectors(allocs, values)
+    groups: dict[tuple[int, ...], Allocation] = {}
+    for v, a in zip(scaled, allocs):
         groups.setdefault(v, a)
-    vectors = list(groups)
+    # one exact vector per LP column
+    vectors = [v if scale == 1 else tuple(Fraction(x, scale) for x in v) for v in groups]
     g = len(vectors)
 
     c = [0] * g + [1] * n
@@ -307,7 +322,7 @@ def pea_solution(own_expected: Sequence[Value], instance: Instance,
 
     value, x = _simplex_maximize(c, constraints)
     weights = tuple(
-        (groups[vectors[k]], x[k]) for k in range(g) if x[k] > 0
+        (a, x[k]) for k, a in enumerate(groups.values()) if x[k] > 0
     )
     gains = tuple(x[g + i] for i in range(n))
     return LPSolution(value, weights, gains)

@@ -370,6 +370,39 @@ def test_marginals_match_fraction_sums_on_every_mechanism_over_grid():
             _assert_same_marginals(mech.run(inst, bids))
 
 
+def _reference_expected_utilities(p, utilities):
+    """The Fraction-summing cross-evaluation that the integer one replaced."""
+    return tuple(
+        tuple(as_value(sum((pk[j] * row_i[j] for j in range(p.m) if pk[j]), Fraction(0)))
+              for pk in p.p)
+        for row_i in utilities)
+
+
+def test_expected_utilities_match_fraction_sums_on_seeded_matrices():
+    rng = random.Random(20200629)
+    for _ in range(200):
+        n, m = rng.randint(2, 4), rng.randint(1, 5)
+        columns = []
+        for _ in range(m):
+            # a discarded item's column is all zero; any other sums to 1
+            shares = [Fraction(rng.randint(0, 4), rng.randint(1, 6)) for _ in range(n)]
+            if rng.random() < 0.2 or not any(shares):
+                columns.append([0] * n)
+            else:
+                columns.append([x / sum(shares) for x in shares])
+        p = AssignmentMatrix(tuple(zip(*columns)))
+        # integer utilities now and then, so both scales get a turn at 1
+        denominators = (1,) if rng.random() < 0.2 else (1, 2, 3, 5, 12)
+        utilities = tuple(
+            tuple(as_value(Fraction(rng.randint(0, 7), rng.choice(denominators)))
+                  for _ in range(m))
+            for _ in range(n))
+        got = expected_utilities(p, utilities).ubar
+        want = _reference_expected_utilities(p, utilities)
+        assert got == want
+        assert [[type(x) for x in row] for row in got] == [[type(x) for x in row] for row in want]
+
+
 def test_priority_order():
     assert tuple(PriorityOrder.identity(3)) == (0, 1, 2)
     assert PriorityOrder.from_one_based([2, 1]).order == (1, 0)

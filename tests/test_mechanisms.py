@@ -389,6 +389,134 @@ def test_pareto_like_judges_on_bids_not_utilities():
     assert len(dist.support()) == 4
 
 
+def _first_two(dist):
+    out = {}
+    for a, prob in dist:
+        out[a.owners[:2]] = out.get(a.owners[:2], 0) + prob
+    return out
+
+
+def test_pareto_like_reads_later_bids():
+    # the look-ahead drops the prefix owners (0, 1): under the sincere item 3
+    # both of its extensions are dominated, so pareto-like is not online
+    inst = Instance(((1, 3, 1), (2, 3, 1)))
+    assert _first_two(pareto_like().run(inst)) == {
+        (0, 0): Fraction(1, 2), (1, 0): Fraction(1, 4), (1, 1): Fraction(1, 4)}
+    uniform = {owners: Fraction(1, 4) for owners in product(range(2), repeat=2)}
+    assert _first_two(pareto_like().run(inst.prefix(2))) == uniform
+    assert _first_two(pareto_like().run(inst, BidProfile(((1, 3, 0), (2, 3, 1))))) == uniform
+
+
+# --- the moves table against the viable sets it replaced -------------------
+
+def _moves(bids):
+    rule = ParetoLikeRule()
+    return rule.begin(bids, _positive_bidders(bids), rule.tally(bids))
+
+
+def test_moves_table_passes_discarded_items_in_the_middle_and_at_the_end():
+    bids = BidProfile(((2, 0, 1, 0), (1, 0, 3, 0)))
+    assert _moves(bids) == [
+        {(0, 0): (0, 1)},
+        {(2, 0): (), (0, 1): ()},
+        # (0, 1) + (1, 0) = (1, 1) is dominated by (2, 3)
+        {(2, 0): (0, 1), (0, 1): (1,)},
+        {(2, 3): (), (0, 4): (), (3, 0): ()},
+    ]
+    inst = Instance(((1, 1, 1, 1), (1, 1, 1, 1)))
+    assert owners_map(pareto_like().run(inst, bids)) == {
+        (0, None, 0, None): Fraction(1, 4),
+        (0, None, 1, None): Fraction(1, 4),
+        (1, None, 1, None): Fraction(1, 2),
+    }
+
+
+def test_moves_table_on_one_item():
+    assert _moves(BidProfile(((3,), (3,)))) == [{(0, 0): (0, 1)}]
+    assert _moves(BidProfile(((0,), (2,)))) == [{(0, 0): (1,)}]
+    assert _moves(BidProfile(((0,), (0,)))) == [{(0, 0): ()}]
+    inst = Instance(((1,), (1,)))
+    assert owners_map(pareto_like().run(inst, BidProfile(((0,), (0,))))) == {(None,): 1}
+    assert owners_map(pareto_like().run(inst)) == {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
+
+
+def test_moves_table_keys_fraction_bids_on_their_integer_scale():
+    # bids times 6: ((3, 2), (2, 6))
+    bids = BidProfile(((Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 3), 1)))
+    assert _moves(bids) == [{(0, 0): (0, 1)}, {(3, 0): (0, 1), (0, 2): (1,)}]
+    inst = Instance(((1, 1), (1, 1)))
+    assert owners_map(pareto_like().run(inst, bids)) == {
+        (0, 0): Fraction(1, 4), (0, 1): Fraction(1, 4), (1, 1): Fraction(1, 2)}
+
+
+def test_key_off_the_moves_table_is_a_rule_error():
+    bids = BidProfile(((1, 2), (2, 1)))
+    rule = ParetoLikeRule()
+    with pytest.raises(RuleInvariantError, match="off the table at item 2"):
+        rule.feasible(_moves(bids), 1, (1, 1))
+
+    class OffTable(ParetoLikeRule):
+        def begin(self, bids, candidates, tally):
+            return super().begin(bids, candidates, [[2 * x for x in row] for row in tally])
+
+    with pytest.raises(RuleInvariantError, match="bid totals"):
+        allocate(OffTable(), SWAP, bids)
+
+
+class _ViableSetParetoRule(ParetoLikeRule):
+    """pareto-like as it ran before the moves table: `begin` keeps
+    `pareto_levels`' viable sets in bid units, and `feasible` extends the
+    branch's bid totals by each positive bidder's bid and keeps the
+    bidders whose extension is viable."""
+
+    def begin(self, bids, candidates, tally):
+        return candidates, pareto_levels(bids)[1], bids.bids
+
+    def tally(self, bids):
+        return bids.bids
+
+    def feasible(self, state, item, key):
+        positives, viable, values = state
+        out = []
+        for i in positives[item]:
+            ext = list(key)
+            ext[i] += values[i][item]
+            if tuple(ext) in viable[item]:
+                out.append(i)
+        return tuple(out)
+
+
+VIABLE_SET_PARETO_LIKE = mechanisms._rule_mechanism(
+    "pareto-like", lambda _: _ViableSetParetoRule(), "bids")
+
+
+def _assert_moves_match_viable_sets(inst, bids):
+    assert pareto_like().run(inst, bids) == VIABLE_SET_PARETO_LIKE.run(inst, bids), bids
+    assert (pareto_like().item_counts(inst, bids)
+            == VIABLE_SET_PARETO_LIKE.item_counts(inst, bids)), bids
+
+
+def test_moves_table_matches_viable_sets_on_exhaustive_grid():
+    # every 0..3 bid profile at 2x3, zero columns (discarded items) included
+    inst = Instance(((1, 1, 1), (1, 1, 1)))
+    for flat in product(range(4), repeat=6):
+        _assert_moves_match_viable_sets(inst, BidProfile((flat[:3], flat[3:])))
+
+
+def test_moves_table_matches_viable_sets_on_fractional_bids():
+    rng = random.Random(20200629)
+    for _ in range(150):
+        n, m = rng.randint(2, 4), rng.randint(1, 4)
+        rows = [[Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(m)]
+                for _ in range(n)]
+        for j in range(m):
+            if rng.random() < 0.2:
+                for row in rows:
+                    row[j] = 0
+        inst = Instance(((1,) * m,) * n)
+        _assert_moves_match_viable_sets(inst, BidProfile(tuple(tuple(r) for r in rows)))
+
+
 def test_get_mechanism_names_and_sigma():
     for name in ("osd", "orp", "like", "balanced-like", "maximum-like", "pareto-like"):
         assert get_mechanism(name).name == name
@@ -446,8 +574,9 @@ def _reference_allocate(rule, instance, bids=None, *, max_nodes=None):
             raise WorkBoundExceeded(
                 f"{rule.name}: expansion tree may exceed {bound} leaves"
             )
-    state = rule.begin(bids, candidates)
-    tally = rule.tally(bids) or bids.bids
+    tally = rule.tally(bids)
+    state = rule.begin(bids, candidates, tally)
+    tally = tally or bids.bids
     n, m = instance.n, instance.m
     owners = [None] * m
     sizes = [0] * n

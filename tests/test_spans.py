@@ -9,7 +9,7 @@ import importlib
 import sys
 from pathlib import Path
 
-from fairdiv import Instance, axioms, core, mechanisms
+from fairdiv import BidProfile, Instance, axioms, core, mechanisms
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -43,7 +43,10 @@ def test_tracer_wraps_every_target_and_restores_every_original(monkeypatch):
         assert all(vars(owner)[attr] is not original
                    for (owner, attr), original in zip(targets, originals))
         tracer.active = True
-        mechanisms.pareto_like().run(Instance(((1, 2), (2, 1))))
+        inst = Instance(((1, 2), (2, 1)))
+        mechanisms.pareto_like().run(inst)
+        # pareto-like builds its moves table on ints, past the traced wrapper
+        mechanisms.pareto_levels(BidProfile.sincere(inst))
         tracer.active = False
         names = {span[0] for span in tracer.take()}
         assert {"mechanisms.run", "mechanisms.allocate", "mechanisms.pareto_levels",
