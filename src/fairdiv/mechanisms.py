@@ -30,6 +30,7 @@ over L; the deviation searches need nothing more.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, permutations
@@ -147,6 +148,9 @@ class MaximumLikeRule(FeasibilityRule):
         return tuple(tops)
 
 
+_FEW_VECTORS = 8  # measured crossover of the two tests in `_undominated`
+
+
 def _undominated(vectors: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Pareto-maximal elements of a set of integer vectors.
 
@@ -162,8 +166,21 @@ def _undominated(vectors: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
     vector's masks over all coordinates leaves the vectors weakly above it
     everywhere; it is maximal exactly when that is its own bit alone. N
     distinct vectors of length n cost O(N * n) operations on N-bit ints.
+
+    Up to `_FEW_VECTORS` distinct vectors, where the masks' set-up costs
+    more than it saves, each vector is instead tested against the maxima
+    before it: only a larger sum can dominate, and dominance is transitive.
     """
     distinct = [v for _, v in sorted({(sum(v), v) for v in vectors}, reverse=True)]
+    if len(distinct) <= _FEW_VECTORS:
+        maxima: list[tuple[int, ...]] = []
+        for v in distinct:
+            for w in maxima:
+                if all(map(operator.ge, w, v)):
+                    break
+            else:
+                maxima.append(v)
+        return maxima
     above = [-1] * len(distinct)
     for column in zip(*distinct):
         at_least: dict[int, int] = {}
@@ -199,7 +216,9 @@ def maximal_levels(scaled: Sequence[Sequence[int]], positives: tuple[tuple[int, 
                     w = list(v)
                     w[i] += scaled[i][j]
                     grown.append(tuple(w))
-            level = _undominated(grown)
+            # a lone bidder shifts the whole level by one amount, which keeps
+            # it maximal and in order
+            level = grown if len(pos) == 1 else _undominated(grown)
         levels.append(level)
     return levels
 

@@ -351,6 +351,23 @@ def test_undominated_drops_nothing_on_identical_utilities():
     assert kept == sorted(vectors, reverse=True)
 
 
+def test_undominated_scan_matches_bitsets_on_seeded_sets(monkeypatch):
+    # both tests of `_undominated` on every set, small and large, against
+    # the pairwise definition
+    rng = random.Random(20201017)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        vectors = [tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(rng.randint(0, 24))]
+        want = sorted({v for v in vectors
+                       if not any(w != v and all(map(int.__ge__, w, v)) for w in vectors)},
+                      key=lambda v: (sum(v), v), reverse=True)
+        outs = []
+        for limit in (0, len(vectors)):
+            monkeypatch.setattr(mechanisms, "_FEW_VECTORS", limit)
+            outs.append(_undominated(vectors))
+        assert outs == [want, want], vectors
+
+
 def test_pareto_like_equals_like_on_a_big_identical_instance():
     inst = generate(DomainSpec("identical-cardinal", 4, 6, seed=3))
     dist = pareto_like().run(inst)
