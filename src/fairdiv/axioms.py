@@ -46,6 +46,7 @@ from .core import (
     integer_rows,
     marginal_counts,
     marginals,
+    utility_matrix,
 )
 from .mechanisms import Mechanism, maximal_levels
 from .oracle import LPSolution, enumerate_allocations, pea_solution
@@ -61,17 +62,8 @@ def _resolve_utilities(dist: AllocationDistribution, utilities: Optional[Utiliti
     instance's own utilities, else the judged matrix."""
     if utilities is None:
         return dist.instance.utilities, None
-    if isinstance(utilities, Instance):
-        mat = utilities.utilities
-    else:
-        mat = tuple(tuple(as_value(x) for x in row) for row in utilities)
-    if len(mat) != dist.n or any(len(row) != dist.m for row in mat):
-        raise ValueError("utility matrix shape differs from the distribution")
-    for row in mat:
-        for x in row:
-            if x < 0:
-                raise ValueError(f"utility matrix entries must be nonnegative, "
-                                 f"got {format_value(x)}")
+    mat = utility_matrix(utilities, dist.n, dist.m,
+                         "utility matrix shape differs from the distribution")
     return mat, BidProfile._validated(mat)
 
 

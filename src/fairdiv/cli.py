@@ -97,7 +97,10 @@ def _max_nodes(args) -> Optional[int]:
     if args.max_nodes is not None:
         return args.max_nodes
     env = os.environ.get("FAIRDIV_MAX_NODES")
-    return int(env) if env else None
+    try:
+        return int(env) if env else None
+    except ValueError:
+        raise ValueError(f"FAIRDIV_MAX_NODES must be an integer, got {env!r}") from None
 
 
 def _resolve_instance(args) -> Instance:

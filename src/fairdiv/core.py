@@ -2,10 +2,11 @@
 
 An instance fixes a set of agents, an ordered list of items, and a matrix of
 nonnegative rational utilities. Mechanisms observe bid profiles of the same
-shape and return finite probability distributions over allocations; every
-item ends up owned by exactly one agent or discarded. All quantities are
-exact rationals (int or fractions.Fraction). Floats are rejected at the
-boundary so that no tolerance ever appears downstream.
+shape (`BidProfile.for_instance`) and return finite probability distributions
+over allocations; every item ends up owned by exactly one agent or discarded.
+All quantities are exact rationals (int or fractions.Fraction). Floats, bools
+and strings are rejected at the boundary, in values and probabilities alike,
+so that no tolerance ever appears downstream.
 
 Agents and items are 0-based throughout the library; the command line and
 the text file format use 1-based numbering.
@@ -38,8 +39,11 @@ class WorkBoundExceeded(FairDivError):
 def check_work_bound(widths: Iterable[int], max_nodes: Optional[int], what: str) -> None:
     """Raise WorkBoundExceeded when the product of ``widths`` (the options
     at each step of an exponential run) exceeds ``max_nodes``, checked as
-    the product grows; None means `DEFAULT_MAX_NODES`."""
+    the product grows; None means `DEFAULT_MAX_NODES`. A bound below 1 is
+    a ValueError."""
     bound = DEFAULT_MAX_NODES if max_nodes is None else max_nodes
+    if bound < 1:
+        raise ValueError(f"{what}: work bound must be at least 1, got {bound}")
     total = 1
     for width in widths:
         total *= width
@@ -71,20 +75,21 @@ def format_value(x: Value) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _nonnegative(row: tuple[Value, ...], what: str) -> None:
+    for x in row:
+        if x < 0:
+            raise ValueError(f"{what} entries must be nonnegative, got {format_value(x)}")
+
+
 def _exact_matrix(rows: Iterable[Iterable[object]], what: str) -> tuple[tuple[Value, ...], ...]:
-    out = []
-    for r in rows:
-        out.append(tuple(as_value(x) for x in r))
-    mat = tuple(out)
+    mat = tuple(tuple(as_value(x) for x in r) for r in rows)
     if not mat:
         raise ValueError(f"{what} needs at least one agent row")
     width = len(mat[0])
     for r in mat:
         if len(r) != width:
             raise ValueError(f"{what} rows must have equal length")
-        for x in r:
-            if x < 0:
-                raise ValueError(f"{what} entries must be nonnegative, got {format_value(x)}")
+        _nonnegative(r, what)
     return mat
 
 
@@ -172,6 +177,15 @@ class BidProfile:
     def sincere(cls, instance: Instance) -> "BidProfile":
         return cls._validated(instance.utilities)
 
+    @classmethod
+    def for_instance(cls, instance: Instance, bids: Optional["BidProfile"]) -> "BidProfile":
+        """``bids``, or the sincere profile for None, checked to fit ``instance``."""
+        if bids is None:
+            return cls.sincere(instance)
+        if not bids.matches(instance):
+            raise ValueError("bid profile shape differs from instance")
+        return bids
+
     @property
     def n(self) -> int:
         return len(self.bids)
@@ -193,9 +207,7 @@ class BidProfile:
         new_row = tuple(as_value(x) for x in row)
         if len(new_row) != self.m:
             raise ValueError("replacement row has wrong length")
-        for x in new_row:
-            if x < 0:
-                raise ValueError(f"bid matrix entries must be nonnegative, got {format_value(x)}")
+        _nonnegative(new_row, "bid matrix")
         return BidProfile._validated(
             tuple(new_row if i == agent else r for i, r in enumerate(self.bids)))
 
@@ -309,7 +321,7 @@ class AllocationDistribution:
     @classmethod
     def from_map(cls, instance: Instance,
                  support: Mapping[Allocation, object]) -> "AllocationDistribution":
-        entries = tuple((a, p if isinstance(p, Fraction) else Fraction(p))
+        entries = tuple((a, p if isinstance(p, Fraction) else Fraction(as_value(p)))
                         for a, p in support.items())
         return cls(instance, entries)
 
@@ -323,7 +335,7 @@ class AllocationDistribution:
         for dist, weight in parts:
             if dist.instance != instance:
                 raise ValueError("can only mix distributions over one instance")
-            w = Fraction(weight)
+            w = Fraction(as_value(weight))
             if w < 0:
                 raise ValueError("mixture weights must be nonnegative")
             kept.append((dist, w))
@@ -450,6 +462,21 @@ def marginals(dist: AllocationDistribution) -> AssignmentMatrix:
                                   for row in counts))
 
 
+def utility_matrix(utilities: Union[Instance, Sequence[Sequence[object]]], n: int, m: int,
+                   mismatch: str) -> tuple[tuple[Value, ...], ...]:
+    """``utilities`` checked as an n x m matrix, as an `Instance`'s would be;
+    ``mismatch`` is the error for any other shape."""
+    if isinstance(utilities, Instance):
+        mat = utilities.utilities
+    else:
+        mat = tuple(tuple(as_value(x) for x in row) for row in utilities)
+    if len(mat) != n or any(len(row) != m for row in mat):
+        raise ValueError(mismatch)
+    for row in mat:
+        _nonnegative(row, "utility matrix")
+    return mat
+
+
 def expected_utilities(p: AssignmentMatrix,
                        utilities: Sequence[Sequence[Value]]) -> ExpectedUtilityMatrix:
     """Cross-evaluation of expected bundles under the given utility matrix.
@@ -458,11 +485,10 @@ def expected_utilities(p: AssignmentMatrix,
     one integer scale (`integer_rows`), and each cell becomes one Fraction
     at the end.
     """
-    n, m = p.n, p.m
-    if len(utilities) != n or (m and len(utilities[0]) != m):
-        raise ValueError("utility matrix shape differs from assignment matrix")
+    rows = utility_matrix(utilities, p.n, p.m,
+                          "utility matrix shape differs from assignment matrix")
     probs, p_scale = integer_rows(p.p)
-    values, u_scale = integer_rows(utilities)
+    values, u_scale = integer_rows(rows)
     scale = p_scale * u_scale
     return ExpectedUtilityMatrix(tuple(
         tuple(as_value(Fraction(sum(map(operator.mul, pk, row_i)), scale)) for pk in probs)
@@ -477,7 +503,7 @@ class PriorityOrder:
 
     def __post_init__(self) -> None:
         order = tuple(self.order)
-        if sorted(order) != list(range(len(order))):
+        if any(type(x) is not int for x in order) or sorted(order) != list(range(len(order))):
             raise ValueError(f"not a permutation of 0..{len(order) - 1}: {order}")
         object.__setattr__(self, "order", order)
 
@@ -487,7 +513,7 @@ class PriorityOrder:
 
     @classmethod
     def from_one_based(cls, seq: Iterable[int]) -> "PriorityOrder":
-        return cls(tuple(int(x) - 1 for x in seq))
+        return cls(tuple(x - 1 if type(x) is int else x for x in seq))
 
     @property
     def n(self) -> int:

@@ -30,7 +30,7 @@ from .core import (
     format_value,
     marginal_counts,
 )
-from .mechanisms import Mechanism, _checked_bids, like, maximum_like
+from .mechanisms import Mechanism, like, maximum_like
 
 DOMAIN_NAMES = (
     "general",
@@ -226,8 +226,6 @@ def validate_domain(instance: Instance, domain: str) -> bool:
         return all(row == rows[0] for row in rows)
     if domain == "identical-ordinal":
         m = instance.m
-        if m == 0:
-            return True
 
         def ranking(row: Sequence[Value]) -> Optional[tuple[int, ...]]:
             if len(set(row)) != len(row) or any(x <= 0 for x in row):
@@ -270,7 +268,7 @@ class ConstructedMechanism:
     def _override(self, instance: Instance, bids: Optional[BidProfile],
                   ) -> tuple[BidProfile, Optional[AllocationDistribution]]:
         """The checked bids, and the override distribution they select."""
-        bids = _checked_bids(instance, bids)
+        bids = BidProfile.for_instance(instance, bids)
         for mat, dist in self.overrides:
             if bids.bids == mat:
                 return bids, dist
@@ -414,11 +412,6 @@ def expand_entries(entries: Iterable[dict]) -> list[Labeled]:
             params = dict(entry["random"])
             count = int(params.pop("count"))
             seed = int(params.pop("seed"))
-            if "domains" in params:
-                params["domains"] = tuple(params["domains"])
-            for key in ("n_range", "m_range"):
-                if key in params:
-                    params[key] = tuple(params[key])
             prefix = params.pop("label", f"blk{pos}")
             for label, inst in random_suite(count, seed, **params):
                 out.append((f"{prefix}-{label}", inst))

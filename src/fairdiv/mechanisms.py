@@ -321,14 +321,6 @@ def _positive_bidders(bids: BidProfile) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(compress(agents, column)) for column in zip(*bids.bids))
 
 
-def _checked_bids(instance: Instance, bids: Optional[BidProfile]) -> BidProfile:
-    if bids is None:
-        return BidProfile.sincere(instance)
-    if not bids.matches(instance):
-        raise ValueError("bid profile shape differs from instance")
-    return bids
-
-
 def _share(weight: int, ways: int) -> int:
     """Each branch's weight when ``weight`` splits uniformly ``ways`` ways.
 
@@ -338,7 +330,7 @@ def _share(weight: int, ways: int) -> int:
     return weight // ways
 
 
-def _expand(rule: FeasibilityRule, instance: Instance, bids: BidProfile,
+def _expand(rule: FeasibilityRule, instance: Instance, bids: Optional[BidProfile],
             max_nodes: Optional[int], keep_owners: bool,
             ) -> tuple[dict[tuple[tuple, Hashable], int], Optional[ItemCounts], int]:
     """The expansion engine: one forward pass over the items, layer by layer.
@@ -360,6 +352,7 @@ def _expand(rule: FeasibilityRule, instance: Instance, bids: BidProfile,
     larger than c_j.
     """
     n, m = instance.n, instance.m
+    bids = BidProfile.for_instance(instance, bids)
     positives = _positive_bidders(bids)
     candidates = rule.candidates(bids, positives)
     widths = [max(1, len(pick)) for pick in candidates]
@@ -419,7 +412,6 @@ def allocate(rule: FeasibilityRule, instance: Instance,
     over the scale L. Raises WorkBoundExceeded when the expansion tree
     could exceed ``max_nodes`` leaves.
     """
-    bids = _checked_bids(instance, bids)
     layer, _, scale = _expand(rule, instance, bids, max_nodes, keep_owners=True)
     # leaves of equal weight share one Fraction
     probs = {w: Fraction(w, scale) for w in set(layer.values())}
@@ -430,22 +422,14 @@ def allocate(rule: FeasibilityRule, instance: Instance,
 def _orp_outcomes(instance: Instance, bids: Optional[BidProfile],
                   max_nodes: Optional[int]) -> tuple[dict[tuple, int], int]:
     """How many of the n! priority orders lead to each allocation, and n!."""
-    bids = _checked_bids(instance, bids)
+    bids = BidProfile.for_instance(instance, bids)
     n = instance.n
     check_work_bound(range(1, n + 1), max_nodes, "orp: priority orders")
     fact = math.factorial(n)
     positives = _positive_bidders(bids)
     outcomes: dict[tuple, int] = {}
     for perm in permutations(range(n)):
-        owners = []
-        for pos in positives:
-            pick = None
-            for i in perm:
-                if i in pos:
-                    pick = i
-                    break
-            owners.append(pick)
-        key = tuple(owners)
+        key = tuple(next((i for i in perm if i in pos), None) for pos in positives)
         outcomes[key] = outcomes.get(key, 0) + 1
     return outcomes, fact
 
@@ -521,8 +505,7 @@ def _rule_mechanism(name: str, make_rule: Callable[[Instance], FeasibilityRule],
         return allocate(make_rule(instance), instance, bids, max_nodes=max_nodes)
 
     def count(instance, bids, max_nodes):
-        rule = make_rule(instance)
-        _, counts, scale = _expand(rule, instance, _checked_bids(instance, bids), max_nodes,
+        _, counts, scale = _expand(make_rule(instance), instance, bids, max_nodes,
                                    keep_owners=False)
         return counts, scale
 

@@ -44,12 +44,8 @@ class UnboundedError(FairDivError):
 
 def utility_vector(alloc: Allocation, values: Sequence[Sequence[Value]]) -> tuple[Value, ...]:
     """Each agent's value for their own bundle, as an exact tuple."""
-    n = len(values)
-    acc: list[Value] = [0] * n
-    for j, o in enumerate(alloc.owners):
-        if o is not None:
-            acc[o] += values[o][j]
-    return tuple(as_value(x) for x in acc)
+    (vector,), scale = _scaled_vectors((alloc,), values)
+    return tuple(as_value(Fraction(x, scale)) for x in vector)
 
 
 def enumerate_allocations(instance: Instance, bids: Optional[BidProfile] = None, *,
@@ -60,10 +56,7 @@ def enumerate_allocations(instance: Instance, bids: Optional[BidProfile] = None,
     bid column is discarded in every allocation. Output is in canonical
     (sorted) order.
     """
-    if bids is None:
-        bids = BidProfile.sincere(instance)
-    if not bids.matches(instance):
-        raise ValueError("bid profile shape differs from instance")
+    bids = BidProfile.for_instance(instance, bids)
     positives = [tuple(i for i, x in enumerate(column) if x > 0) for column in zip(*bids.bids)]
     check_work_bound((len(pos) or 1 for pos in positives), max_nodes,
                      "enumerated allocations")
@@ -308,16 +301,15 @@ def pea_solution(own_expected: Sequence[Value], instance: Instance,
     groups: dict[tuple[int, ...], Allocation] = {}
     for v, a in zip(scaled, allocs):
         groups.setdefault(v, a)
-    # one exact vector per LP column
-    vectors = [v if scale == 1 else tuple(Fraction(x, scale) for x in v) for v in groups]
-    g = len(vectors)
+    g = len(groups)
 
     c = [0] * g + [1] * n
     constraints: list[tuple[list[Value], str, Value]] = []
     for i in range(n):
-        row = [vec[i] for vec in vectors]
-        row += [-1 if k == i else 0 for k in range(n)]
-        constraints.append((row, ">=", point[i]))
+        # agent i's row times ``scale``, which leaves every pivot unchanged
+        row = [v[i] for v in groups]
+        row += [-scale if k == i else 0 for k in range(n)]
+        constraints.append((row, ">=", point[i] * scale))
     constraints.append(([1] * g + [0] * n, "==", 1))
 
     value, x = _simplex_maximize(c, constraints)

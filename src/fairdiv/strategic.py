@@ -12,7 +12,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     BidProfile,
@@ -201,6 +201,17 @@ def osp_falsify(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = N
     return None
 
 
+def _cell_changes(instance: Instance, grid: BidGrid, cells: Iterable[tuple[int, int]],
+                  ) -> Iterator[tuple[int, int, Value, BidProfile]]:
+    """Each one-bid change to the sincere profile, ``(agent, item, bid,
+    profile)``, over ``cells`` in order and each cell's grid but its sincere bid."""
+    sincere = BidProfile.sincere(instance)
+    for agent, item in cells:
+        for bid in grid.values(instance, agent, item):
+            if bid != instance.utility(agent, item):
+                yield agent, item, bid, sincere.replace_bid(agent, item, bid)
+
+
 def step_probe(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = None, *,
                max_nodes: Optional[int] = None) -> Optional[ProbeWitness]:
     """Witness that outcomes depend on a positive bid's size, not just its sign.
@@ -210,26 +221,18 @@ def step_probe(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = No
     Raises RuleInvariantError when it finds one for a mechanism declared
     to read only bid signs.
     """
-    grid = grid or BidGrid()
-    sincere = BidProfile.sincere(instance)
     base = mech.run(instance, max_nodes=max_nodes)
-    for agent in range(instance.n):
-        for item in range(instance.m):
-            if instance.utility(agent, item) <= 0:
-                continue
-            for bid in grid.values(instance, agent, item):
-                if bid <= 0 or bid == instance.utility(agent, item):
-                    continue
-                dist = mech.run(instance, sincere.replace_bid(agent, item, bid),
-                                max_nodes=max_nodes)
-                if dist.entries != base.entries:
-                    if mech.view == "signs":
-                        raise RuleInvariantError(
-                            f"{mech.name}: declared to read only bid signs, but bid "
-                            f"{format_value(bid)} by agent {agent + 1} on item {item + 1} "
-                            f"changed the outcome"
-                        )
-                    return ProbeWitness(agent, item, bid)
+    cells = [(agent, item) for agent, row in enumerate(instance.utilities)
+             for item, x in enumerate(row) if x > 0]
+    for agent, item, bid, bids in _cell_changes(instance, grid or BidGrid(), cells):
+        if bid > 0 and mech.run(instance, bids, max_nodes=max_nodes).entries != base.entries:
+            if mech.view == "signs":
+                raise RuleInvariantError(
+                    f"{mech.name}: declared to read only bid signs, but bid "
+                    f"{format_value(bid)} by agent {agent + 1} on item {item + 1} "
+                    f"changed the outcome"
+                )
+            return ProbeWitness(agent, item, bid)
     return None
 
 
@@ -244,20 +247,14 @@ def memoryless_probe(mech: Mechanism, instance: Instance,
     compared by cross-multiplying: c / L == c' / L' exactly when
     c * L' == c' * L.
     """
-    grid = grid or BidGrid()
-    sincere = BidProfile.sincere(instance)
     base, scale = mech.item_counts(instance, max_nodes=max_nodes)
-    for item in range(instance.m - 1):
-        for agent in range(instance.n):
-            for bid in grid.values(instance, agent, item):
-                if bid == instance.utility(agent, item):
-                    continue
-                p, p_scale = mech.item_counts(instance, sincere.replace_bid(agent, item, bid),
-                                              max_nodes=max_nodes)
-                for later in range(item + 1, instance.m):
-                    if any(p[i][later] * scale != base[i][later] * p_scale
-                           for i in range(instance.n)):
-                        return ProbeWitness(agent, item, bid, later)
+    cells = [(agent, item) for item in range(instance.m - 1) for agent in range(instance.n)]
+    for agent, item, bid, bids in _cell_changes(instance, grid or BidGrid(), cells):
+        p, p_scale = mech.item_counts(instance, bids, max_nodes=max_nodes)
+        for later in range(item + 1, instance.m):
+            if any(p[i][later] * scale != base[i][later] * p_scale
+                   for i in range(instance.n)):
+                return ProbeWitness(agent, item, bid, later)
     return None
 
 
@@ -298,20 +295,15 @@ class MechanismProfile:
 def classify(mech: Mechanism, suite: Sequence[tuple[str, Instance]], *,
              max_nodes: Optional[int] = None) -> MechanismProfile:
     """Profile a mechanism on a suite: probes plus the row-lie falsifier."""
-    step_w = memoryless_w = sp_w = None
+    searches = (step_probe, memoryless_probe, sp_falsify)
+    found: list = [None] * len(searches)
     for label, inst in suite:
-        if step_w is None:
-            w = step_probe(mech, inst, max_nodes=max_nodes)
-            if w is not None:
-                step_w = (label, w)
-        if memoryless_w is None:
-            w = memoryless_probe(mech, inst, max_nodes=max_nodes)
-            if w is not None:
-                memoryless_w = (label, w)
-        if sp_w is None:
-            d = sp_falsify(mech, inst, max_nodes=max_nodes)
-            if d is not None:
-                sp_w = (label, d)
+        for k, search in enumerate(searches):
+            if found[k] is None:
+                w = search(mech, inst, max_nodes=max_nodes)
+                if w is not None:
+                    found[k] = (label, w)
+    step_w, memoryless_w, sp_w = found
     return MechanismProfile(
         mechanism=mech.name,
         step=step_w is None,

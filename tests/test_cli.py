@@ -428,3 +428,18 @@ def test_run_json_bytes_are_pinned(capsys, monkeypatch):
             digest.update(out.encode("utf-8"))
     assert digest.hexdigest() == (
         "bbf0a7603d82a3265f3cc889740e1343f0c5f4b78cd982078d1607bf07264a3f")
+
+
+def test_work_bounds_below_one_are_usage_errors(capsys, monkeypatch):
+    # a bound that admits no work is an input error (3), not inconclusive (2)
+    for argv in (("run", "like", "--example", "1", "--max-nodes", "-1"),
+                 ("run", "like", "--example", "1", "--max-nodes", "0"),
+                 ("falsify", "like", "--example", "1", "--max-candidates", "-2")):
+        assert main(list(argv)) == 3, argv
+        assert "work bound must be at least 1" in capsys.readouterr().err
+    monkeypatch.setenv("FAIRDIV_MAX_NODES", "-5")
+    assert main(["run", "like", "--example", "1"]) == 3
+    assert "work bound must be at least 1, got -5" in capsys.readouterr().err
+    monkeypatch.setenv("FAIRDIV_MAX_NODES", "abc")
+    assert main(["run", "like", "--example", "1"]) == 3
+    assert "FAIRDIV_MAX_NODES must be an integer, got 'abc'" in capsys.readouterr().err

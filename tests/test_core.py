@@ -12,12 +12,14 @@ from fairdiv import (
     Allocation,
     AllocationDistribution,
     AssignmentMatrix,
+    BidGrid,
     BidProfile,
     Instance,
     PriorityOrder,
     WorkBoundExceeded,
     as_value,
     bundle_utility,
+    check_efa,
     check_pep,
     expected_utilities,
     format_value,
@@ -27,9 +29,10 @@ from fairdiv import (
     maximum_like,
     orp,
     osd,
+    pea_solution,
     sp_falsify,
 )
-from fairdiv.core import marginal_counts
+from fairdiv.core import check_work_bound, marginal_counts
 
 
 def test_as_value_normalizes_integral_fractions():
@@ -432,3 +435,84 @@ def test_every_work_bound_admits_its_exact_work(name):
     call(work)
     with pytest.raises(WorkBoundExceeded, match=f"may exceed {work - 1}$"):
         call(work - 1)
+
+
+def test_work_bounds_below_one_are_errors():
+    # a bound that admits no work is a caller error, not an inconclusive run
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match=f"^like: work bound must be at least 1, got {bound}$"):
+            check_work_bound((), bound, "like")
+        for _, call in _BOUNDED_RUNS.values():
+            with pytest.raises(ValueError, match=f"work bound must be at least 1, got {bound}$"):
+                call(bound)
+    check_work_bound((), 1, "like")
+
+
+_SWAP = Instance(((1, 2), (2, 1)))
+_SWAP_MARGINALS = AssignmentMatrix(((_HALF, _HALF), (_HALF, _HALF)))
+
+# Each public entry point that takes values, with ``x`` in a place where
+# the value 1 is valid: a float, a bool or a string there must raise.
+_VALUE_ENTRY_POINTS = {
+    "Instance": lambda x: Instance(((x, 2), (2, 1))),
+    "BidProfile": lambda x: BidProfile(((x, 2), (2, 1))),
+    "BidProfile.replace_bid": lambda x: BidProfile.sincere(_SWAP).replace_bid(0, 0, x),
+    "from_map": lambda x: AllocationDistribution.from_map(_SWAP, {_A((0, 0)): x}),
+    "mix": lambda x: AllocationDistribution.mix([(like().run(_SWAP), x)]),
+    "PriorityOrder": lambda x: PriorityOrder((x, 0)),
+    "PriorityOrder.from_one_based": lambda x: PriorityOrder.from_one_based((x, 2)),
+    "osd": lambda x: osd((x, 0)).run(_SWAP),
+    "BidGrid": lambda x: BidGrid((x,)),
+    "expected_utilities": lambda x: expected_utilities(_SWAP_MARGINALS, ((x, 2), (2, 1))),
+    "checker utilities": lambda x: check_efa(like().run(_SWAP), ((x, 2), (2, 1))),
+    "pea_solution": lambda x: pea_solution((x, 2), _SWAP),
+}
+
+
+@pytest.mark.parametrize("bad", [1.0, True, "1"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("name", sorted(_VALUE_ENTRY_POINTS))
+def test_entry_points_reject_inexact_values(name, bad):
+    call = _VALUE_ENTRY_POINTS[name]
+    call(1)  # the slot takes the exact value
+    with pytest.raises((TypeError, ValueError)):
+        call(bad)
+
+
+def test_probabilities_and_weights_are_exact():
+    d1 = AllocationDistribution.from_map(_SWAP, {_A((0, 0)): 1})
+    d2 = AllocationDistribution.from_map(_SWAP, {_A((1, 1)): 1})
+    for bad in (0.5, "1/2"):
+        with pytest.raises(TypeError, match="^expected int or Fraction, got "):
+            AllocationDistribution.from_map(_SWAP, {_A((0, 0)): bad, _A((1, 1)): bad})
+    # 0.1 and 0.9 are not exact tenths, and sum to a little more than 1
+    with pytest.raises(TypeError, match="^expected int or Fraction, got float$"):
+        AllocationDistribution.mix([(d1, 0.1), (d2, 0.9)])
+    mixed = AllocationDistribution.mix([(d1, Fraction(1, 10)), (d2, Fraction(9, 10))])
+    assert mixed.as_dict() == {_A((0, 0)): Fraction(1, 10), _A((1, 1)): Fraction(9, 10)}
+
+
+def test_priority_orders_take_ints_only():
+    for order in ((1.0, 0.0), (True, False), (1, False)):
+        with pytest.raises(ValueError, match="^not a permutation of 0..1: "):
+            PriorityOrder(order)
+    with pytest.raises(ValueError, match="^not a permutation of 0..1: "):
+        osd((1.0, 0.0)).run(_SWAP)
+    # from_one_based no longer truncates
+    with pytest.raises(ValueError, match="^not a permutation of 0..1: "):
+        PriorityOrder.from_one_based((2.0, 1.5))
+    assert PriorityOrder.from_one_based((2, 1)).order == (1, 0)
+    assert osd(PriorityOrder.from_one_based((2, 1))).run(_SWAP).as_dict() == {_A((1, 1)): 1}
+
+
+def test_expected_utilities_check_the_whole_matrix():
+    shape = "^utility matrix shape differs from assignment matrix$"
+    for bad in (((1, 2), (2,)), ((1, 2), (2, 1, 0)), ((1, 2),), ((1, 2), (2, 1), (1, 1))):
+        with pytest.raises(ValueError, match=shape):
+            expected_utilities(_SWAP_MARGINALS, bad)
+    with pytest.raises(TypeError, match="^expected int or Fraction, got float$"):
+        expected_utilities(_SWAP_MARGINALS, ((1.5, 2), (2, 1)))
+    with pytest.raises(ValueError, match="^utility matrix entries must be nonnegative, got -1$"):
+        expected_utilities(_SWAP_MARGINALS, ((1, 2), (-1, 1)))
+    # an Instance is taken as its own matrix
+    assert (expected_utilities(_SWAP_MARGINALS, _SWAP)
+            == expected_utilities(_SWAP_MARGINALS, _SWAP.utilities))

@@ -1,0 +1,51 @@
+"""Import layering of the package, read from its source with ast."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fairdiv"
+
+# the engine and everything built on it; the oracles audit them, so they
+# must not share their code
+ENGINE = {"mechanisms", "axioms", "strategic", "claims", "cli"}
+
+
+def _imports(module):
+    """``(imported module, name)`` for each name ``module`` takes from a
+    sibling module of the package."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                source = node.module
+            elif node.level == 0 and (node.module or "").startswith("fairdiv."):
+                source = node.module.split(".", 1)[1]
+            else:
+                continue
+            for alias in node.names:
+                # `from . import x` imports the module x itself
+                found.append((source or alias.name, alias.name))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("fairdiv."):
+                    found.append((alias.name.split(".")[1], ""))
+    return found
+
+
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+
+
+def test_the_package_is_read():
+    assert {"core", "oracle", "mechanisms", "instances"} <= set(MODULES)
+    assert ("core", "integer_rows") in _imports("oracle")
+
+
+def test_the_oracle_imports_nothing_from_the_engine():
+    assert {source for source, _ in _imports("oracle")} & ENGINE == set()
+
+
+def test_no_module_imports_a_private_name_from_another():
+    private = [(module, source, name) for module in MODULES
+               for source, name in _imports(module) if name.startswith("_")]
+    assert private == []

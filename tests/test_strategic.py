@@ -279,6 +279,22 @@ def reference_memoryless(name, instance, grid=BidGrid()):
     return None
 
 
+def reference_step(name, instance, grid=BidGrid()):
+    sincere = BidProfile.sincere(instance)
+    base = reference_run(name, instance)
+    for agent in range(instance.n):
+        for item in range(instance.m):
+            if instance.utility(agent, item) <= 0:
+                continue
+            for bid in grid.values(instance, agent, item):
+                if bid <= 0 or bid == instance.utility(agent, item):
+                    continue
+                dist = reference_run(name, instance, sincere.replace_bid(agent, item, bid))
+                if dist.entries != base.entries:
+                    return ProbeWitness(agent, item, bid)
+    return None
+
+
 def _assert_searches_match(instances):
     found = 0
     for inst in instances:
@@ -286,7 +302,8 @@ def _assert_searches_match(instances):
             mech = get_mechanism(name)
             for search, reference in ((sp_falsify, reference_sp),
                                       (osp_falsify, reference_osp),
-                                      (memoryless_probe, reference_memoryless)):
+                                      (memoryless_probe, reference_memoryless),
+                                      (step_probe, reference_step)):
                 got = search(mech, inst)
                 assert got == reference(name, inst), (search.__name__, name, inst)
                 found += got is not None
