@@ -148,15 +148,16 @@ def _value(x: int, scale: int) -> Value:
 
 
 def _envy_verdict(axiom: str, worst: Optional[tuple], scale: int) -> AxiomVerdict:
-    """The verdict from the worst ``(gap, allocation, agent, rival, own,
-    others)`` comparison, every number over ``scale``; None when nothing
-    was compared."""
+    """The verdict from the worst ``(gap, owners, agent, rival, own,
+    others)`` comparison, every number over ``scale`` and ``owners`` None
+    ex ante; None when nothing was compared."""
     if worst is None:
         return AxiomVerdict(axiom, True, None, None)
-    gap, alloc, i, k, own, others = worst
+    gap, owners, i, k, own, others = worst
     margin = _value(gap, scale)
     if gap >= 0:
         return AxiomVerdict(axiom, True, margin, None)
+    alloc = None if owners is None else Allocation._trusted(owners)
     witness = EnvyWitness(alloc, i, k, _value(own, scale), _value(others, scale))
     return AxiomVerdict(axiom, False, margin, witness)
 
@@ -174,11 +175,11 @@ def _ex_post(axiom: str, dist: AllocationDistribution, u: Utilities, *,
     slack = bound.numerator * (scale // bound.denominator)
     n = dist.n
     worst = None
-    for alloc, _ in dist:
+    for owners in dist.owners:
         held = [[0] * n for _ in range(n)]  # held[i][k]: i's value for k's bundle
         if strong:  # liked[i][k]: i's value for its items k likes
             liked = [[0] * n for _ in range(n)]
-        for j, o in enumerate(alloc.owners):
+        for j, o in enumerate(owners):
             if o is None:
                 continue
             for i in range(n):
@@ -196,7 +197,7 @@ def _ex_post(axiom: str, dist: AllocationDistribution, u: Utilities, *,
                 own = liked[i][k] if strong else row[i]
                 gap = own + slack - row[k]
                 if worst is None or gap < worst[0]:
-                    worst = (gap, alloc, i, k, own, row[k])
+                    worst = (gap, owners, i, k, own, row[k])
     return _envy_verdict(axiom, worst, scale)
 
 
@@ -335,12 +336,13 @@ def check_pep(dist: AllocationDistribution,
                      "enumerated allocations")
     maximal = maximal_levels(scaled, positives)[-1]
     efficient = set(maximal)  # no maximal vector dominates another
-    for alloc, _ in dist:
-        own = _own_vector(alloc.owners, scaled)
+    for owners in dist.owners:
+        own = _own_vector(owners, scaled)
         if own not in efficient and any(_dominates(v, own) for v in maximal):
             candidates = enumerate_allocations(dist.instance, bids, max_nodes=max_nodes)
             rival = next(r for r in candidates if _dominates(_own_vector(r.owners, scaled), own))
-            return AxiomVerdict("pep", False, None, DominationWitness(alloc, rival))
+            return AxiomVerdict("pep", False, None,
+                                DominationWitness(Allocation._trusted(owners), rival))
     return AxiomVerdict("pep", True, None, None)
 
 
@@ -379,7 +381,7 @@ def ex_post_equivalent(mech_a: Mechanism, mech_b: Mechanism, instance: Instance,
     """The two mechanisms output identical allocation distributions."""
     da = mech_a.run(instance, bids, max_nodes=max_nodes)
     db = mech_b.run(instance, bids, max_nodes=max_nodes)
-    return da.entries == db.entries
+    return da == db
 
 
 def ex_ante_equivalent(mech_a: Mechanism, mech_b: Mechanism, instance: Instance,

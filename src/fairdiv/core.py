@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -272,32 +272,34 @@ def bundle_utility(alloc: Allocation, agent: int, holder: int,
     return as_value(total)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AllocationDistribution:
     """Finite probability distribution over allocations of one instance.
 
-    The support is stored in a canonical deterministic order. Probabilities
-    are positive Fractions summing to exactly one. Every allocation in the
-    support covers the same item prefix (all of the instance's items, since
-    runs expand the whole horizon). It is validated in one bulk pass, the
-    sum in integers: ``weights[k]`` is ``entries[k]``'s probability times
-    ``scale``, the lcm of the denominators.
+    Held on integers in a canonical order: support allocation k owns items
+    as ``owners[k]`` says and has probability ``weights[k] / scale``, the
+    weights positive and summing to ``scale``, in lowest terms. That is the
+    compared state, so ``==`` means the same lottery. ``entries``, `support`
+    and iteration build Allocations and Fractions only when read. The
+    constructor validates outside input; `_trusted` takes the library's own.
     """
 
     instance: Instance
-    entries: tuple[tuple[Allocation, Fraction], ...]
-    weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    scale: int = field(init=False, repr=False, compare=False)
+    owners: tuple[tuple[Optional[int], ...], ...]
+    weights: tuple[int, ...]
+    scale: int
 
-    def __post_init__(self) -> None:
-        entries = self.entries
+    def __init__(self, instance: Instance, entries: Sequence[tuple[Allocation, Fraction]]) -> None:
+        object.__setattr__(self, "instance", instance)
+        self.__post_init__(entries)
+
+    def __post_init__(self, entries: Sequence[tuple[Allocation, Fraction]]) -> None:
         if not entries:
             raise ValueError("distribution must have nonempty support")
         rows = [alloc.owners for alloc, _ in entries]
         if set(map(len, rows)) != {self.instance.m}:
             raise ValueError("allocation length differs from instance size")
-        owners = set().union(*rows)
-        agents = owners - {None}
+        agents = set().union(*rows) - {None}
         if agents and max(agents) >= self.instance.n:
             raise ValueError("owner index out of range")
         if len(set(rows)) != len(rows):  # equal owners tuples are equal allocations
@@ -311,19 +313,29 @@ class AllocationDistribution:
             raise ValueError("support probabilities must be positive")
         if sum(weights) != scale:
             raise ValueError(f"probabilities sum to {Fraction(sum(weights), scale)}, expected 1")
-        # keys are distinct; None and ints do not compare
-        keys = rows if agents == owners else [a.sort_key() for a, _ in entries]
-        _, ordered, weights = zip(*sorted(zip(keys, entries, weights)))
-        object.__setattr__(self, "entries", ordered)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "scale", scale)
+        # checked: hold the fields the trusted path gives these weights
+        vars(self).update(vars(self._trusted(self.instance, dict(zip(rows, weights)), scale)))
+
+    @classmethod
+    def _trusted(cls, instance: Instance, weights: Mapping[tuple, int],
+                 scale: int) -> "AllocationDistribution":
+        """Each owners tuple with its weight over ``scale``, unchecked, in
+        lowest terms and sorted by owners (`Allocation.sort_key`)."""
+        try:
+            owners = sorted(weights)
+        except TypeError:  # a None met an int; engines discard alike on every branch
+            owners = sorted(weights, key=lambda o: Allocation._trusted(o).sort_key())
+        common = math.gcd(scale, *weights.values())
+        dist = object.__new__(cls)
+        # tuples from lists, of known length (see `support`)
+        vars(dist).update(instance=instance, owners=tuple(owners), scale=scale // common,
+                          weights=tuple([weights[o] // common for o in owners]))
+        return dist
 
     @classmethod
     def from_map(cls, instance: Instance,
                  support: Mapping[Allocation, object]) -> "AllocationDistribution":
-        entries = tuple((a, p if isinstance(p, Fraction) else Fraction(as_value(p)))
-                        for a, p in support.items())
-        return cls(instance, entries)
+        return cls(instance, tuple((a, Fraction(as_value(p))) for a, p in support.items()))
 
     @classmethod
     def mix(cls, parts: Sequence[tuple["AllocationDistribution", object]]) -> "AllocationDistribution":
@@ -339,13 +351,17 @@ class AllocationDistribution:
             if w < 0:
                 raise ValueError("mixture weights must be nonnegative")
             kept.append((dist, w))
+        total = sum(w for _, w in kept)
+        if total != 1:  # as validating the mixture would report it
+            raise ValueError("distribution must have nonempty support" if total == 0
+                             else f"probabilities sum to {total}, expected 1")
         scale = math.lcm(*(dist.scale * w.denominator for dist, w in kept))
-        merged: dict[Allocation, int] = {}
+        merged: dict[tuple, int] = {}
         for dist, w in kept:
             factor = w.numerator * (scale // (dist.scale * w.denominator))
-            for (alloc, _), c in zip(dist.entries, dist.weights):
-                merged[alloc] = merged.get(alloc, 0) + factor * c
-        return cls.from_map(instance, {a: Fraction(c, scale) for a, c in merged.items() if c})
+            for owners, c in zip(dist.owners, dist.weights):
+                merged[owners] = merged.get(owners, 0) + factor * c
+        return cls._trusted(instance, {o: c for o, c in merged.items() if c}, scale)
 
     @property
     def n(self) -> int:
@@ -355,19 +371,26 @@ class AllocationDistribution:
     def m(self) -> int:
         return self.instance.m
 
+    @property
+    def entries(self) -> tuple[tuple[Allocation, Fraction], ...]:
+        """``(allocation, probability)`` pairs; equal weights share one Fraction."""
+        probs = {w: Fraction(w, self.scale) for w in set(self.weights)}
+        return tuple([(a, probs[w]) for a, w in zip(self.support(), self.weights)])
+
     def support(self) -> tuple[Allocation, ...]:
-        return tuple(a for a, _ in self.entries)
+        # tuple() of an iterator resizes a guessed tuple, feeding CPython's free lists
+        return tuple([Allocation._trusted(o) for o in self.owners])
 
     def as_dict(self) -> dict[Allocation, Fraction]:
-        return {a: p for a, p in self.entries}
+        return dict(self.entries)
 
     def prefix(self, upto: int) -> "AllocationDistribution":
         """Marginal distribution over the first ``upto`` items."""
-        merged: dict[Allocation, Fraction] = {}
-        for alloc, prob in self.entries:
-            head = Allocation(alloc.owners[:upto])
-            merged[head] = merged.get(head, Fraction(0)) + prob
-        return AllocationDistribution.from_map(self.instance.prefix(upto), merged)
+        merged: dict[tuple, int] = {}
+        for owners, w in zip(self.owners, self.weights):
+            head = owners[:upto]
+            merged[head] = merged.get(head, 0) + w
+        return AllocationDistribution._trusted(self.instance.prefix(upto), merged, self.scale)
 
     def __iter__(self) -> Iterator[tuple[Allocation, Fraction]]:
         return iter(self.entries)
@@ -444,8 +467,8 @@ def marginal_counts(dist: AllocationDistribution) -> tuple[ItemCounts, int]:
     probability ``counts[i][j] / L``.
     """
     counts = [[0] * dist.m for _ in range(dist.n)]
-    for (alloc, _), w in zip(dist.entries, dist.weights):
-        for j, o in enumerate(alloc.owners):
+    for owners, w in zip(dist.owners, dist.weights):
+        for j, o in enumerate(owners):
             if o is not None:
                 counts[o][j] += w
     return counts, dist.scale

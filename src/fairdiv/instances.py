@@ -280,7 +280,8 @@ class ConstructedMechanism:
         if dist is not None:
             # rebind to the caller's instance; the outcome depends on
             # the observed bids only
-            return AllocationDistribution.from_map(instance, dist.as_dict())
+            return AllocationDistribution._trusted(
+                instance, dict(zip(dist.owners, dist.weights)), dist.scale)
         return self.base.run(instance, bids, max_nodes=max_nodes)
 
     def item_counts(self, instance: Instance, bids: Optional[BidProfile] = None, *,

@@ -19,12 +19,12 @@ Rules differ only in how the feasible set is computed:
 orp is the uniform mixture of osd over all priority orders.
 
 The engine, `_expand`, is one forward pass over the items on int weights
-over one common scale L; probabilities become Fractions only in what
-`allocate` returns. Along each branch it carries the rule's state key (see
-`FeasibilityRule`). `allocate` keeps every owner prefix and turns the last
-layer into a distribution. `Mechanism.item_counts` drops the owners, so
-nodes with equal keys merge, and returns only the integer item marginals
-over L; the deviation searches need nothing more.
+over one common scale L. Along each branch it carries the rule's state key
+(see `FeasibilityRule`). `allocate` keeps every owner prefix and hands
+the last layer's owners and int weights to the distribution as they are.
+`Mechanism.item_counts` drops the owners, so nodes with equal keys merge,
+and returns only the integer item marginals over L; the deviation searches
+need nothing more. orp's are the `marginal_counts` of its distribution.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from itertools import compress, permutations
 from typing import Callable, Hashable, Optional, Sequence
 
 from .core import (
-    Allocation,
     AllocationDistribution,
     BidProfile,
     FairDivError,
@@ -48,6 +47,7 @@ from .core import (
     as_value,
     check_work_bound,
     integer_rows,
+    marginal_counts,
 )
 
 class RuleInvariantError(FairDivError):
@@ -408,54 +408,29 @@ def allocate(rule: FeasibilityRule, instance: Instance,
 
     Returns the exact distribution over complete allocations: the engine's
     layered pass keeps every owner prefix, so each node of its last layer
-    is one allocation, and its probability is the node's integer weight
-    over the scale L. Raises WorkBoundExceeded when the expansion tree
-    could exceed ``max_nodes`` leaves.
+    is one allocation, and the node's int weight over the scale L goes to
+    the distribution as it is. Raises WorkBoundExceeded when the expansion
+    tree could exceed ``max_nodes`` leaves.
     """
     layer, _, scale = _expand(rule, instance, bids, max_nodes, keep_owners=True)
-    # leaves of equal weight share one Fraction
-    probs = {w: Fraction(w, scale) for w in set(layer.values())}
-    return AllocationDistribution.from_map(
-        instance, {Allocation._trusted(owners): probs[w] for (owners, _), w in layer.items()})
-
-
-def _orp_outcomes(instance: Instance, bids: Optional[BidProfile],
-                  max_nodes: Optional[int]) -> tuple[dict[tuple, int], int]:
-    """How many of the n! priority orders lead to each allocation, and n!."""
-    bids = BidProfile.for_instance(instance, bids)
-    n = instance.n
-    check_work_bound(range(1, n + 1), max_nodes, "orp: priority orders")
-    fact = math.factorial(n)
-    positives = _positive_bidders(bids)
-    outcomes: dict[tuple, int] = {}
-    for perm in permutations(range(n)):
-        key = tuple(next((i for i in perm if i in pos), None) for pos in positives)
-        outcomes[key] = outcomes.get(key, 0) + 1
-    return outcomes, fact
+    return AllocationDistribution._trusted(instance, {o: w for (o, _), w in layer.items()}, scale)
 
 
 def orp_distribution(instance: Instance, bids: Optional[BidProfile] = None, *,
                      max_nodes: Optional[int] = None) -> AllocationDistribution:
     """Uniform mixture of serial dictatorships over all priority orders.
 
-    Exact by construction: every one of the n! orders is run and the
-    deterministic outcomes are merged with weight 1/n!.
+    Exact by construction: every one of the n! orders is run, and each
+    allocation's weight over n! is the number of orders that lead to it.
     """
-    outcomes, fact = _orp_outcomes(instance, bids, max_nodes)
-    return AllocationDistribution.from_map(instance, {
-        Allocation._trusted(owners): Fraction(c, fact) for owners, c in outcomes.items()})
-
-
-def _orp_counts(instance: Instance, bids: Optional[BidProfile],
-                max_nodes: Optional[int]) -> tuple[ItemCounts, int]:
-    """orp's item marginals as (counts, n!), from the priority-order counts."""
-    outcomes, fact = _orp_outcomes(instance, bids, max_nodes)
-    counts = [[0] * instance.m for _ in range(instance.n)]
-    for owners, c in outcomes.items():
-        for j, i in enumerate(owners):
-            if i is not None:
-                counts[i][j] += c
-    return counts, fact
+    positives = _positive_bidders(BidProfile.for_instance(instance, bids))
+    n = instance.n
+    check_work_bound(range(1, n + 1), max_nodes, "orp: priority orders")
+    outcomes: dict[tuple, int] = {}
+    for perm in permutations(range(n)):
+        key = tuple(next((i for i in perm if i in pos), None) for pos in positives)
+        outcomes[key] = outcomes.get(key, 0) + 1
+    return AllocationDistribution._trusted(instance, outcomes, math.factorial(n))
 
 
 #: What a mechanism's outcome can depend on, per item column of the bids:
@@ -530,7 +505,7 @@ def orp() -> Mechanism:
     def run(instance, bids, max_nodes):
         return orp_distribution(instance, bids, max_nodes=max_nodes)
 
-    return Mechanism("orp", run, _orp_counts, "signs")
+    return Mechanism("orp", run, lambda *args: marginal_counts(run(*args)), "signs")
 
 
 def like() -> Mechanism:

@@ -225,7 +225,7 @@ def step_probe(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = No
     cells = [(agent, item) for agent, row in enumerate(instance.utilities)
              for item, x in enumerate(row) if x > 0]
     for agent, item, bid, bids in _cell_changes(instance, grid or BidGrid(), cells):
-        if bid > 0 and mech.run(instance, bids, max_nodes=max_nodes).entries != base.entries:
+        if bid > 0 and mech.run(instance, bids, max_nodes=max_nodes) != base:
             if mech.view == "signs":
                 raise RuleInvariantError(
                     f"{mech.name}: declared to read only bid signs, but bid "

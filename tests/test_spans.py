@@ -47,6 +47,8 @@ def test_tracer_wraps_every_target_and_restores_every_original(monkeypatch):
         mechanisms.pareto_like().run(inst)
         # pareto-like builds its moves table on ints, past the traced wrapper
         mechanisms.pareto_levels(BidProfile.sincere(inst))
+        # the engine hands core its int weights, past the validating path
+        core.AllocationDistribution.from_map(inst, {core.Allocation((0, 1)): 1})
         tracer.active = False
         names = {span[0] for span in tracer.take()}
         assert {"mechanisms.run", "mechanisms.allocate", "mechanisms.pareto_levels",
