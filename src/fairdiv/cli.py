@@ -120,7 +120,12 @@ def _resolve_bids(args) -> Optional[BidProfile]:
 
 def _resolve_mechanism(args) -> Mechanism:
     if args.sigma is not None:
-        order = PriorityOrder.from_one_based(int(t) for t in args.sigma.split(","))
+        # checked here, so that the message is 1-based like the option
+        tokens = [t.strip() for t in args.sigma.split(",")]
+        n = len(tokens)
+        if sorted(tokens) != sorted(str(k) for k in range(1, n + 1)):
+            raise ValueError(f"--sigma must be a permutation of 1..{n}, got {args.sigma!r}")
+        order = PriorityOrder.from_one_based(int(t) for t in tokens)
         return get_mechanism(args.mechanism, sigma=order)
     return get_mechanism(args.mechanism)
 

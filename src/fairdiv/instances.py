@@ -261,9 +261,13 @@ class ConstructedMechanism:
     view: ClassVar[str] = "bids"
 
     def __post_init__(self) -> None:
-        for mat, dist in self.overrides:
+        # each matrix is checked as a bid matrix and kept exact, so it
+        # matches exactly the bid profiles equal to it
+        overrides = tuple((BidProfile(mat).bids, dist) for mat, dist in self.overrides)
+        for mat, dist in overrides:
             if len(mat) != dist.n or len(mat[0]) != dist.m:
                 raise ValueError("override distribution shape differs from its bid matrix")
+        object.__setattr__(self, "overrides", overrides)
 
     def _override(self, instance: Instance, bids: Optional[BidProfile],
                   ) -> tuple[BidProfile, Optional[AllocationDistribution]]:
@@ -394,31 +398,36 @@ def expand_entries(entries: Iterable[dict]) -> list[Labeled]:
       {"example": k}                      one worked example's instance
       {"utilities": [[...], ...]}         an inline matrix (values as 'p/q' strings or ints)
       {"random": {"count":..., "seed":..., ...}}   a random_suite block
+
+    A malformed entry raises ValueError naming the entry.
     """
     out: list[Labeled] = []
     for pos, entry in enumerate(entries):
-        if "example" in entry:
-            eid = int(entry["example"])
-            inst, _ = worked_example(eid)
-            out.append((f"example-{eid}", inst))
-        elif "utilities" in entry:
-            rows = []
-            for row in entry["utilities"]:
-                rows.append(tuple(
-                    parse_rational(x) if isinstance(x, str) else as_value(x) for x in row
-                ))
-            label = entry.get("label", f"inline-{pos}")
-            out.append((label, Instance(tuple(rows))))
-        elif "random" in entry:
-            params = dict(entry["random"])
-            count = int(params.pop("count"))
-            seed = int(params.pop("seed"))
-            prefix = params.pop("label", f"blk{pos}")
-            for label, inst in random_suite(count, seed, **params):
-                out.append((f"{prefix}-{label}", inst))
-        else:
-            raise ValueError(f"unrecognized manifest entry: {entry!r}")
+        try:
+            out += _expand_entry(pos, entry)
+        except KeyError as exc:
+            raise ValueError(f"bad manifest entry {entry!r}: missing key {exc}") from None
+        except (TypeError, ValueError, ParseError) as exc:
+            raise ValueError(f"bad manifest entry {entry!r}: {exc}") from None
     return out
+
+
+def _expand_entry(pos: int, entry: dict) -> list[Labeled]:
+    if "example" in entry:
+        eid = int(entry["example"])
+        inst, _ = worked_example(eid)
+        return [(f"example-{eid}", inst)]
+    if "utilities" in entry:
+        rows = [tuple(parse_rational(x) if isinstance(x, str) else as_value(x) for x in row)
+                for row in entry["utilities"]]
+        return [(entry.get("label", f"inline-{pos}"), Instance(tuple(rows)))]
+    if "random" in entry:
+        params = dict(entry["random"])
+        count = int(params.pop("count"))
+        seed = int(params.pop("seed"))
+        prefix = params.pop("label", f"blk{pos}")
+        return [(f"{prefix}-{label}", inst) for label, inst in random_suite(count, seed, **params)]
+    raise ValueError("expected an 'example', 'utilities' or 'random' key")
 
 
 def _inline(label: str, inst: Instance) -> dict:

@@ -443,3 +443,36 @@ def test_work_bounds_below_one_are_usage_errors(capsys, monkeypatch):
     monkeypatch.setenv("FAIRDIV_MAX_NODES", "abc")
     assert main(["run", "like", "--example", "1"]) == 3
     assert "FAIRDIV_MAX_NODES must be an integer, got 'abc'" in capsys.readouterr().err
+
+
+
+def _run_err(capsys, *argv):
+    """Exit code, stdout and stderr of one in-process run."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_malformed_manifest_entries_are_usage_errors(capsys, tmp_path):
+    # each once crashed with a traceback and exit 1, the "mismatch" code
+    path = tmp_path / "m.json"
+    for entry, reason in (
+            ({"random": {"count": 2, "seed": 1, "domain": ["binary"]}},
+             "unexpected keyword argument 'domain'"),
+            ({"random": {"count": 2}}, "missing key 'seed'"),
+            ({"utilities": [[0.5, 1], [1, 1]]}, "expected int or Fraction, got float")):
+        path.write_text(json.dumps({"blocks": {"general": [entry]}}), encoding="utf-8")
+        code, out, err = _run_err(capsys, "table", "--manifest", str(path), "--json")
+        assert (code, out) == (3, "")
+        assert err.startswith(f"fairdiv: error: bad manifest entry {entry!r}: ")
+        assert reason in err and err.count("\n") == 1
+
+
+def test_sigma_errors_are_one_based(capsys):
+    for sigma, n in (("0,1", 2), ("a", 1), ("1,1", 2), ("1,3", 2)):
+        code, out, err = _run_err(capsys, "run", "osd", "--example", "1", "--sigma", sigma)
+        assert (code, out) == (3, "")
+        assert err == f"fairdiv: error: --sigma must be a permutation of 1..{n}, got {sigma!r}\n"
+    code, payload = run_json(capsys, "run", "osd", "--example", "1", "--sigma", "2, 1", "--json")
+    assert code == 0
+    assert payload["distribution"] == [{"owners": [2, 2], "probability": "1"}]

@@ -27,7 +27,7 @@ from fairdiv import (
     validate_domain,
     worked_example,
 )
-from fairdiv.instances import expand_entries
+from fairdiv.instances import ConstructedMechanism, expand_entries
 
 
 def test_parse_rational():
@@ -229,3 +229,20 @@ def test_like_honours_generated_zero_free_bids():
     inst = generate(DomainSpec("nonzero", 2, 3, seed=3))
     dist = like().run(inst)
     assert all(None not in a.owners for a, _ in dist)
+
+
+def test_constructed_mechanism_checks_its_overrides():
+    inst, mech = worked_example(2)
+    dist = mech.overrides[0][1]
+    for mat, error, message in (
+            (((0.5, 2), (2, 1)), TypeError, "expected int or Fraction, got float"),
+            (((-1, 2), (2, 1)), ValueError, "bid matrix entries must be nonnegative, got -1"),
+            (((1, 2), (2, 1, 3)), ValueError, "bid matrix rows must have equal length")):
+        with pytest.raises(error) as err:
+            ConstructedMechanism("bad", like(), ((mat, dist),))
+        assert str(err.value) == message
+    # the matrix is stored exact, so lists and integral Fractions match too
+    exact = ConstructedMechanism(
+        "lists", like(), (([[1, Fraction(2, 2)], [0, 1]], dist),))
+    assert exact.overrides[0][0] == ((1, 1), (0, 1))
+    assert exact.run(inst) == dist

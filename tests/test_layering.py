@@ -49,3 +49,27 @@ def test_no_module_imports_a_private_name_from_another():
     private = [(module, source, name) for module in MODULES
                for source, name in _imports(module) if name.startswith("_")]
     assert private == []
+
+
+def _validating_calls(module):
+    """Line numbers where ``module`` calls `AllocationDistribution` or its
+    ``from_map``, the path that validates outside input."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "from_map":
+                func = func.value
+            if isinstance(func, ast.Name) and func.id == "AllocationDistribution":
+                lines.append(node.lineno)
+    return lines
+
+
+def test_engines_build_distributions_past_the_validating_path():
+    # only the worked examples build distributions from outside input;
+    # the engines hand core their int weights
+    assert _validating_calls("instances")
+    calls = {module: _validating_calls(module) for module in MODULES
+             if module not in ("core", "instances")}
+    assert {module: lines for module, lines in calls.items() if lines} == {}

@@ -745,6 +745,50 @@ def test_runs_equal_freshly_validated_distributions_on_2x3_grid():
             assert [[Fraction(c, scale) for c in row] for row in counts] == want, (name, bids)
 
 
+def _fraction_reference(instance, probs):
+    """The validating path's distribution over ``{owners: Fraction}``."""
+    return AllocationDistribution.from_map(
+        instance, {Allocation(owners): p for owners, p in probs.items() if p})
+
+
+def _assert_same_distribution(got, want):
+    assert (got.owners, got.weights, got.scale) == (want.owners, want.weights, want.scale)
+    assert got.entries == want.entries and got == want and hash(got) == hash(want)
+
+
+def test_trusted_distributions_match_the_validating_path_on_2x3_grid():
+    # engines, mix and prefix build distributions from int weights without
+    # validating them; the public constructor over the same Fractions must
+    # give the same owners, weights, scale and entries
+    inst = Instance(((1, 1, 1), (1, 1, 1)))
+    grid = [BidProfile((flat[:3], flat[3:])) for flat in product(range(3), repeat=6)]
+    crossed = 0
+    for name in MECHANISM_NAMES:
+        mech = get_mechanism(name)
+        runs = [mech.run(inst, bids) for bids in grid]
+        for k, dist in enumerate(runs):
+            probs = {a.owners: Fraction(w, dist.scale)
+                     for a, w in zip(dist.support(), dist.weights)}
+            _assert_same_distribution(dist, _fraction_reference(inst, probs))
+            for upto in range(inst.m + 1):
+                heads: dict = {}
+                for owners, p in probs.items():
+                    heads[owners[:upto]] = heads.get(owners[:upto], 0) + p
+                _assert_same_distribution(dist.prefix(upto),
+                                          _fraction_reference(inst.prefix(upto), heads))
+            # the next profile may discard other items, so Nones and agents
+            # meet where the owners tuples first differ
+            parts = [(dist, Fraction(1, 3)), (runs[k - 1], Fraction(2, 3)), (dist, 0)]
+            mixed: dict = {}
+            for part, weight in parts:
+                for alloc, p in part:
+                    mixed[alloc.owners] = mixed.get(alloc.owners, 0) + weight * p
+            _assert_same_distribution(AllocationDistribution.mix(parts),
+                                      _fraction_reference(inst, mixed))
+            crossed += any(len({o is None for o in column}) == 2 for column in zip(*mixed))
+    assert crossed > 1000
+
+
 def test_pareto_like_ignores_one_positive_bid_scale():
     # its key is the bid totals on the bids' integer scale, so multiplying
     # every bid by one positive constant must leave the outcome alone

@@ -328,6 +328,14 @@ def test_searches_match_references_on_the_2x3_grid():
     assert _assert_searches_match(sample) > 200
 
 
+def test_step_probe_keeps_its_agent_major_cell_order():
+    # a 3 x 2 integer input whose first witness depends on the cell order:
+    # taken item-major, the probe would report agent 2, item 1 (1-based)
+    inst = Instance(((0, 1), (1, 0), (1, 1)))
+    assert step_probe(maximum_like(), inst) == ProbeWitness(0, 1, Fraction(1, 2))
+    assert _assert_searches_match([inst]) > 0
+
+
 def test_searches_match_references_on_fractional_instances():
     instances = [inst for inst, _ in seeded_cases(150, 20200711)]
     assert any(isinstance(x, Fraction) for inst in instances for row in inst.utilities
