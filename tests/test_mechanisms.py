@@ -753,6 +753,9 @@ def _fraction_reference(instance, probs):
 
 def _assert_same_distribution(got, want):
     assert (got.owners, got.weights, got.scale) == (want.owners, want.weights, want.scale)
+    # both paths share the sort, so check the order on its own: a discarded
+    # item sorts before any agent
+    assert list(got.owners) == sorted(got.owners, key=lambda o: [-1 if x is None else x for x in o])
     assert got.entries == want.entries and got == want and hash(got) == hash(want)
 
 
@@ -776,7 +779,7 @@ def test_trusted_distributions_match_the_validating_path_on_2x3_grid():
                     heads[owners[:upto]] = heads.get(owners[:upto], 0) + p
                 _assert_same_distribution(dist.prefix(upto),
                                           _fraction_reference(inst.prefix(upto), heads))
-            # the next profile may discard other items, so Nones and agents
+            # the previous profile may discard other items, so Nones and agents
             # meet where the owners tuples first differ
             parts = [(dist, Fraction(1, 3)), (runs[k - 1], Fraction(2, 3)), (dist, 0)]
             mixed: dict = {}
