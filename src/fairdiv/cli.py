@@ -383,6 +383,8 @@ def _cell_mark(verdict: bool, prior: bool) -> str:
 
 
 def cmd_table(args) -> int:
+    if args.per_block < 0:
+        raise ValueError(f"--per-block must be at least 0, got {args.per_block}")
     if args.write_manifest is not None:
         text = json.dumps(build_table_manifest(args.per_block, args.seed), indent=2)
         if args.write_manifest == "-":

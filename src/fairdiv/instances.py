@@ -412,9 +412,18 @@ def expand_entries(entries: Iterable[dict]) -> list[Labeled]:
     return out
 
 
+def _entry_int(value: object, key: str, minimum: Optional[int] = None) -> int:
+    """A manifest integer: an int that is not a bool, at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{key!r} must be at least {minimum}, got {value}")
+    return value
+
+
 def _expand_entry(pos: int, entry: dict) -> list[Labeled]:
     if "example" in entry:
-        eid = int(entry["example"])
+        eid = _entry_int(entry["example"], "example")
         inst, _ = worked_example(eid)
         return [(f"example-{eid}", inst)]
     if "utilities" in entry:
@@ -423,8 +432,8 @@ def _expand_entry(pos: int, entry: dict) -> list[Labeled]:
         return [(entry.get("label", f"inline-{pos}"), Instance(tuple(rows)))]
     if "random" in entry:
         params = dict(entry["random"])
-        count = int(params.pop("count"))
-        seed = int(params.pop("seed"))
+        count = _entry_int(params.pop("count"), "count", 0)
+        seed = _entry_int(params.pop("seed"), "seed")
         prefix = params.pop("label", f"blk{pos}")
         return [(f"{prefix}-{label}", inst) for label, inst in random_suite(count, seed, **params)]
     raise ValueError("expected an 'example', 'utilities' or 'random' key")
@@ -441,8 +450,11 @@ def build_table_manifest(per_block: int = 200, seed: int = 20240801) -> dict:
     """Default three-block manifest for the verdict table.
 
     Each block lists targeted counterexample instances first, then enough
-    seeded random fill to reach ``per_block`` instances.
+    seeded random fill to reach ``per_block`` instances. A negative
+    ``per_block`` is a ValueError.
     """
+    if per_block < 0:
+        raise ValueError(f"per-block suite size must be at least 0, got {per_block}")
     targeted = dict(counterexample_instances())
     general_names = list(targeted)
     identical_names = ["identical-ascending", "identical-spread", "all-ones"]

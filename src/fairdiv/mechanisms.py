@@ -25,13 +25,14 @@ the last layer's owners and int weights to the distribution as they are.
 `Mechanism.item_counts` drops the owners, so nodes with equal keys merge,
 and returns only the integer item marginals over L; the deviation searches
 need nothing more. orp's are the `marginal_counts` of its distribution.
+Each mechanism object counts a bid view (`view_key`) once.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, permutations
 from typing import Callable, Hashable, Optional, Sequence
@@ -141,11 +142,7 @@ class MaximumLikeRule(FeasibilityRule):
     name = "maximum-like"
 
     def candidates(self, bids, positives):
-        tops: list[tuple[int, ...]] = []
-        for j, pos in enumerate(positives):
-            best = max((bids.bid(i, j) for i in pos), default=0)
-            tops.append(tuple(i for i in pos if bids.bid(i, j) == best))
-        return tuple(tops)
+        return view_key("tops", bids.bids)
 
 
 _FEW_VECTORS = 8  # measured crossover of the two tests in `_undominated`
@@ -316,9 +313,7 @@ class ParetoLikeRule(FeasibilityRule):
 
 
 def _positive_bidders(bids: BidProfile) -> tuple[tuple[int, ...], ...]:
-    # bids are nonnegative, so the nonzero ones are the positive ones
-    agents = range(bids.n)
-    return tuple(tuple(compress(agents, column)) for column in zip(*bids.bids))
+    return view_key("signs", bids.bids)
 
 
 def _share(weight: int, ways: int) -> int:
@@ -439,6 +434,27 @@ def orp_distribution(instance: Instance, bids: Optional[BidProfile] = None, *,
 VIEWS = ("signs", "tops", "bids")
 
 
+def view_key(view: str, bids: Sequence[Sequence[Value]]) -> Hashable:
+    """What a mechanism with bid view ``view`` reads of the nonnegative bid
+    matrix ``bids`` (see `VIEWS`): for "signs", each column's positive
+    bidders; for "tops", each column's bidders at its positive maximum, or
+    ``()`` when the maximum is 0; for "bids", the matrix itself. The
+    column keys do not hold the agent count."""
+    agents = range(len(bids))
+    if view == "signs":
+        # bids are nonnegative, so the nonzero ones are the positive ones
+        return tuple(tuple(compress(agents, column)) for column in zip(*bids))
+    if view == "tops":
+        tops = []
+        for column in zip(*bids):
+            top = max(column)
+            tops.append(tuple(i for i in agents if column[i] == top) if top else ())
+        return tuple(tops)
+    if view == "bids":
+        return tuple(map(tuple, bids))
+    raise ValueError(f"unknown bid view {view!r}; expected one of {', '.join(VIEWS)}")
+
+
 @dataclass(frozen=True)
 class Mechanism:
     """A named mapping from (instance, bids) to an allocation distribution.
@@ -446,17 +462,20 @@ class Mechanism:
     ``counter`` gives the same outcome's item marginals in integer form,
     for the questions that need nothing else (see `item_counts`).
 
-    ``view`` declares what the outcome reads of the bids (see `VIEWS`):
-    two bid profiles that agree on it, column by column, must give the
-    same distribution and the same work bound. The deviation searches rely
-    on both to try one lie per reachable view and scan it once; "bids",
-    the default, claims nothing.
+    ``view`` declares what the outcome reads of the bids (see `VIEWS` and
+    `view_key`): two bid profiles of one shape that agree on it must give
+    the same distribution and the same work bound. `item_counts` relies on
+    that to count each view once per mechanism object, and the deviation
+    searches to try one lie per reachable view; "bids", the default,
+    claims nothing. `run` always runs.
     """
 
     name: str
     runner: Callable[[Instance, Optional[BidProfile], Optional[int]], AllocationDistribution]
     counter: Callable[[Instance, Optional[BidProfile], Optional[int]], tuple[ItemCounts, int]]
     view: str = "bids"
+    # (n, view key, max_nodes) -> (counts, L), filled by `item_counts`
+    _counted: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.view not in VIEWS:
@@ -470,8 +489,20 @@ class Mechanism:
                     max_nodes: Optional[int] = None) -> tuple[ItemCounts, int]:
         """Item marginals of `run`'s distribution as (counts, L): agent i
         gets item j with probability ``counts[i][j] / L``. No distribution
-        is built, and the work bound is the one `run` applies."""
-        return self.counter(instance, bids, max_nodes)
+        is built, and the work bound is the one `run` applies.
+
+        ``counter`` runs once per agent count, bid view and work bound:
+        later profiles with the same ones reuse its answer, as the view
+        contract allows, in fresh lists. Exceptions are not kept, so a
+        bound trips on every call.
+        """
+        bids = BidProfile.for_instance(instance, bids)
+        key = (instance.n, view_key(self.view, bids.bids), max_nodes)
+        known = self._counted.get(key)
+        if known is None:
+            known = self._counted[key] = self.counter(instance, bids, max_nodes)
+        counts, scale = known
+        return [list(row) for row in counts], scale
 
 
 def _rule_mechanism(name: str, make_rule: Callable[[Instance], FeasibilityRule],

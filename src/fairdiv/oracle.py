@@ -125,8 +125,8 @@ _FLIP = {"<=": ">=", ">=": "<=", "==": "=="}
 def _eliminate(row: list[int], pivot_row: list[int], a: int, f: int, d: int) -> list[int]:
     """One fraction-free row update, ``(a*row - f*pivot_row) / d``.
 
-    The division is exact whenever the tableau invariant of
-    ``_simplex_maximize`` holds.
+    The division is exact whenever the invariant of ``_simplex_maximize``
+    holds.
     """
     return [(a * x - f * y) // d for x, y in zip(row, pivot_row)]
 
@@ -140,33 +140,35 @@ def _simplex_maximize(c: Sequence[Value],
     Exact two-phase simplex with Bland's rule, so the run is deterministic
     and cannot cycle. Raises InfeasibleError or UnboundedError accordingly.
 
-    The tableau is fraction-free (Bareiss's integer-preserving elimination,
-    as in Edmonds' integer simplex): it holds ints ``T`` and one common
-    denominator ``d > 0``, and the real tableau is ``T / d``. Each row,
-    after a negative right-hand side is flipped, is multiplied once by the
-    lcm ``s`` of its denominators; its slack and artificial keep
-    coefficient +-1, which amounts to measuring them in units of ``1/s``.
-    The phase-1 weight of each artificial is therefore ``-(L // s)``, with
-    ``L`` the lcm of those scales: the same objective, times ``L``.
+    The simplex is revised and fraction-free (Bareiss's integer-preserving
+    elimination, as in Edmonds' integer simplex). Each row, after a
+    negative right-hand side is flipped, is multiplied once by the lcm
+    ``s`` of its denominators; its slack and artificial keep coefficient
+    +-1, which amounts to measuring them in units of ``1/s``. That gives
+    the integer columns ``A_j`` and right-hand side ``b``. The phase-1
+    weight of each artificial is therefore ``-(L // s)``, with ``L`` the
+    lcm of those scales: the same objective, times ``L``.
 
-    Invariant: ``d = |det B|`` for the current basis columns ``B`` of the
-    initial integer tableau ``A`` (``B`` starts as the identity), so
-    ``T = d * B^-1 A = +-adj(B) A`` is an integer matrix. Pivoting on
-    ``a = T[r][col] > 0`` keeps row r and replaces every other row i by
-    ``(a*T[i] - T[i][col]*T[r]) / d``. That is the real update times
-    ``a``, and ``a = |det B'|`` for the new basis ``B'`` (its determinant
-    is ``det B`` times the real pivot ``a / d``), so by the invariant for
-    ``B'`` the division is exact, and ``d`` becomes ``a``. A pivot on a
-    negative entry happens only when a zero-level artificial is driven
-    out; the row is negated first (its rhs is 0), which equals pivoting on
-    the negative entry and then negating the whole tableau, so exactness
-    is kept.
+    Invariant: for the current basis columns ``B`` (the identity at the
+    start), ``d = |det B|`` and ``R = d * B^-1 = +-adj(B)`` is an integer
+    matrix, kept beside the integer right-hand side ``R b``; the real
+    tableau ``B^-1 [A | b]`` is ``R [A | b] / d``. Only the entering
+    column ``R A_j`` is built. Pivoting on its entry ``a > 0`` in row r
+    keeps row r of ``[R | R b]`` and replaces every other row i by
+    ``(a*row_i - (R A_j)_i * row_r) / d``: the real update times ``a``,
+    and ``a = |det B'|`` for the new basis ``B'``. R's columns are the
+    tableau's columns at the starting identity basis, integer by the
+    invariant for ``B'``, so the division is exact, and ``d`` becomes
+    ``a``. A pivot on a negative entry happens only when a zero-level
+    artificial is driven out; row r is negated first (its rhs is 0), which
+    equals pivoting on the negative entry and then negating everything.
+    ``R`` holds the dual values: ``y = c_B R`` prices the columns.
 
-    Reduced costs are compared through ``obj[j]*d - sum(obj[basis[i]] *
-    T[i][j])`` and ratios by cross-multiplication. Positive row and column
-    scales change neither those signs nor the order of the ratios, so
-    Bland's rule picks exactly the pivots of the same simplex run on
-    Fractions. Fractions are built only for the returned point.
+    Reduced costs are compared through ``obj[j]*d - y.A_j`` and ratios by
+    cross-multiplication. Positive row and column scales change neither
+    those signs nor the order of the ratios, so Bland's rule picks exactly
+    the pivots of the same simplex run on a Fraction tableau. Fractions
+    are built only for the returned point and value.
     """
     nv = len(c)
     rows: list[list[int]] = []
@@ -189,95 +191,94 @@ def _simplex_maximize(c: Sequence[Value],
     slack_rows = [i for i, r in enumerate(rels) if r != "=="]
     art_rows = [i for i, r in enumerate(rels) if r != "<="]
     n_slack = len(slack_rows)
-    slack_of = {i: nv + k for k, i in enumerate(slack_rows)}
-    art_of = {i: nv + n_slack + k for k, i in enumerate(art_rows)}
-    ncols = nv + n_slack + len(art_rows)
+    columns = [[row[j] for row in rows] for j in range(nv)]
+    basis = [0] * nrows
+    for i in slack_rows:
+        basis[i] = len(columns)
+        sign = 1 if rels[i] == "<=" else -1
+        columns.append([sign if k == i else 0 for k in range(nrows)])
+    art_of = {}
+    for i in art_rows:
+        basis[i] = art_of[i] = len(columns)
+        columns.append([1 if k == i else 0 for k in range(nrows)])
+    ncols = len(columns)
 
-    tab: list[list[int]] = []
-    basis: list[int] = []
-    for i, row in enumerate(rows):
-        full = row[:-1] + [0] * (ncols - nv) + row[-1:]
-        if i in slack_of:
-            full[slack_of[i]] = 1 if rels[i] == "<=" else -1
-        if i in art_of:
-            full[art_of[i]] = 1
-            basis.append(art_of[i])
-        else:
-            basis.append(slack_of[i])
-        tab.append(full)
+    # row i: R's row i, then its rhs (R b)_i
+    inverse = [[int(k == i) for k in range(nrows)] + row[-1:] for i, row in enumerate(rows)]
     d = 1
 
-    def pivot(r: int, col: int) -> None:
+    def entering(j: int) -> list[int]:
+        # the tableau's column j, R A_j; zip stops before the rhs
+        return [sum(map(operator.mul, r, columns[j])) for r in inverse]
+
+    def pivot(r: int, col: list[int], j: int) -> None:
         nonlocal d
-        if tab[r][col] < 0:
-            tab[r] = [-x for x in tab[r]]
-        prow = tab[r]
-        a = prow[col]
+        a = col[r]
+        if a < 0:
+            inverse[r] = [-x for x in inverse[r]]
+            a = -a
+        prow = inverse[r]
         for i in range(nrows):
             if i != r:
-                tab[i] = _eliminate(tab[i], prow, a, tab[i][col], d)
+                inverse[i] = _eliminate(inverse[i], prow, a, col[i], d)
         d = a
-        basis[r] = col
+        basis[r] = j
 
     def run(obj: list[int], live: int) -> None:
         # Bland's rule: smallest eligible entering column, then the leaving
         # row with the smallest ratio, ties broken by smallest basis index.
         while True:
-            priced = [(obj[basis[i]], tab[i]) for i in range(nrows) if obj[basis[i]]]
-            enter = -1
-            for j in range(live):
-                rc = obj[j] * d
-                for lam, row in priced:
-                    rc -= lam * row[j]
-                if rc > 0:
-                    enter = j
-                    break
+            priced = [(obj[basis[i]], inverse[i]) for i in range(nrows) if obj[basis[i]]]
+            y = [sum(lam * r[k] for lam, r in priced) for k in range(nrows)]
+            enter = next((j for j in range(live)
+                          if obj[j] * d > sum(map(operator.mul, y, columns[j]))), -1)
             if enter < 0:
                 return
+            col = entering(enter)
             leave = -1
             for i in range(nrows):
-                a = tab[i][enter]
+                a = col[i]
                 if a > 0:
                     if leave < 0:
                         leave = i
                         continue
-                    t = tab[i][-1] * tab[leave][enter]
-                    best = tab[leave][-1] * a
+                    t = inverse[i][-1] * col[leave]
+                    best = inverse[leave][-1] * a
                     if t < best or (t == best and basis[i] < basis[leave]):
                         leave = i
             if leave < 0:
                 raise UnboundedError("objective is unbounded above")
-            pivot(leave, enter)
+            pivot(leave, col, enter)
 
+    # artificial columns are dead in phase 2
     live = nv + n_slack
     if art_of:
         weight = math.lcm(*(scales[i] for i in art_rows))
         phase1 = [0] * ncols
-        for i, col in art_of.items():
-            phase1[col] = -(weight // scales[i])
+        for i, j in art_of.items():
+            phase1[j] = -(weight // scales[i])
         run(phase1, ncols)
         art_cols = set(art_of.values())
-        if any(tab[i][-1] for i in range(nrows) if basis[i] in art_cols):
+        if any(inverse[i][-1] for i in range(nrows) if basis[i] in art_cols):
             raise InfeasibleError("no feasible point")
         # drive leftover zero-level artificials out of the basis
         for i in range(nrows):
             if basis[i] in art_cols:
                 for j in range(live):
-                    if tab[i][j]:
-                        pivot(i, j)
+                    if sum(map(operator.mul, inverse[i], columns[j])):
+                        pivot(i, entering(j), j)
                         break
-        # artificial columns are dead in phase 2
-        tab[:] = [row[:live] + row[-1:] for row in tab]
 
-    (objective,), _ = integer_rows([c])
+    (objective,), unit = integer_rows([c])
     run(objective + [0] * (ncols - nv), live)
 
     x = [Fraction(0)] * nv
+    total = 0
     for i in range(nrows):
         if basis[i] < nv:
-            x[basis[i]] = Fraction(tab[i][-1], d)
-    value = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
-    return value, x
+            x[basis[i]] = Fraction(inverse[i][-1], d)
+            total += objective[basis[i]] * inverse[i][-1]
+    return Fraction(total, d * unit), x
 
 
 def pea_solution(own_expected: Sequence[Value], instance: Instance,

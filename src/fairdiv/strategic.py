@@ -49,6 +49,20 @@ class BidGrid:
             grid.add(as_value(2 * max(positive)))
         return tuple(sorted(grid))
 
+    def _least_above(self, instance: Instance, agent: int, item: int, floor: Value) -> Value:
+        """The smallest bid of `values` above ``floor``, which is 0 or a
+        value in ``item``'s column, found without building the whole menu.
+        Above 0 the pool gives half its smallest positive value; above a
+        pool value, its next larger value or else twice its largest."""
+        pool = (*instance.column(item), *instance.utilities[agent])
+        # values are nonnegative, and an instance's column has a positive one
+        positive = [x for x in pool if x]
+        if floor:
+            least = min([x for x in pool if x > floor], default=2 * max(positive))
+        else:
+            least = Fraction(min(positive), 2)
+        return as_value(min([least, *(x for x in self.extra if x > floor)]))
+
 
 @dataclass(frozen=True)
 class Deviation:
@@ -98,21 +112,21 @@ class ProbeWitness:
         }
 
 
-def _view_menu(view: str, menu: tuple[Value, ...], instance: Instance,
+def _view_menu(view: str, grid: BidGrid, instance: Instance,
                agent: int, item: int) -> tuple[Value, ...]:
     """``agent``'s grid bids for ``item`` that reach every view of its
     column the agent can reach while the others bid sincerely: 0 and the
-    smallest positive bid for "signs"; 0, the others' top bid M and the
-    next bid above M for "tops" (as "signs" when M is 0); all for "bids"."""
+    smallest positive grid bid for "signs"; 0, the others' top bid M and
+    the smallest grid bid above M for "tops" (as "signs" when M is 0); all
+    of `BidGrid.values` for "bids". The two short menus are the bids the
+    whole grid menu would keep, in its order, found without building it."""
     if view == "bids":
-        return menu
+        return grid.values(instance, agent, item)
     top = max((row[item] for i, row in enumerate(instance.utilities) if i != agent),
               default=0)
     if view == "signs" or top == 0:
-        keep = (0, next(x for x in menu if x > 0))
-    else:
-        keep = (0, top, next(x for x in menu if x > top))
-    return tuple(x for x in menu if x in keep)
+        return (0, grid._least_above(instance, agent, item, 0))
+    return (0, top, grid._least_above(instance, agent, item, top))
 
 
 def _first_lie(mech: Mechanism, instance: Instance, agent: int,
@@ -130,23 +144,45 @@ def _first_lie(mech: Mechanism, instance: Instance, agent: int,
     view representatives (see `Mechanism.view`), and each representative
     is the smallest grid bid with its view, so that row comes no later.
 
+    The rows' counts come from `Mechanism.item_counts`, which may answer
+    from an earlier profile with the same view. So for a "signs" or "tops"
+    mechanism the returned row is counted once more on its own bids, past
+    that memo, and a different count raises RuleInvariantError.
+
     Values are compared on the liar's integer utility row by
     cross-multiplying each run's scale, as `memoryless_probe` does.
     """
     u = instance.utilities
-    sincere = BidProfile.sincere(instance)
+    head, tail = u[:agent], u[agent + 1:]
     (weights,), d = integer_rows([u[agent]])
     counts, scale = base
     baseline = sum(map(operator.mul, counts[agent], weights))
     for row in itertools.product(*menus):
         if row != u[agent]:
-            got, got_scale = mech.item_counts(instance, sincere.replace_row(agent, row),
-                                              max_nodes=max_nodes)
+            # grid bids are exact and nonnegative
+            bids = BidProfile._validated(head + (row,) + tail)
+            got, got_scale = mech.item_counts(instance, bids, max_nodes=max_nodes)
             total = sum(map(operator.mul, got[agent], weights))
             if total * scale > baseline * got_scale:
+                if mech.view != "bids":
+                    _recount(mech, instance, bids, max_nodes, got, got_scale)
                 return (row, as_value(Fraction(baseline, scale * d)),
                         as_value(Fraction(total, got_scale * d)))
     return None
+
+
+def _recount(mech: Mechanism, instance: Instance, bids: BidProfile,
+             max_nodes: Optional[int], counts: ItemCounts, scale: int) -> None:
+    """Raise RuleInvariantError unless ``mech.counter`` gives ``bids`` the
+    item marginals ``counts / scale``."""
+    again, again_scale = mech.counter(instance, bids, max_nodes)
+    if any(x * again_scale != y * scale
+           for row, again_row in zip(counts, again) for x, y in zip(row, again_row)):
+        raise RuleInvariantError(
+            f"{mech.name}: declared bid view {mech.view!r}, but bids "
+            f"{[[format_value(x) for x in r] for r in bids.bids]} are counted "
+            f"differently from an earlier profile with the same view"
+        )
 
 
 def sp_falsify(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = None, *,
@@ -159,13 +195,14 @@ def sp_falsify(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = No
     every nonnegative rational row for a "signs" or "tops" mechanism and
     every grid row for "bids". The scan runs the rows of the view menus
     (see `_view_menu`), and ``max_candidates`` (default
-    `DEFAULT_MAX_NODES`) bounds how many of them each agent may run.
+    `DEFAULT_MAX_NODES`) bounds how many menu rows each agent may have.
+    It counts rows, not engine runs: `Mechanism.item_counts` runs the
+    engine once per bid view, so rows with a seen view cost none.
     """
     grid = grid or BidGrid()
     base = mech.item_counts(instance, max_nodes=max_nodes)
     for agent in range(instance.n):
-        menus = [_view_menu(mech.view, grid.values(instance, agent, j), instance, agent, j)
-                 for j in range(instance.m)]
+        menus = [_view_menu(mech.view, grid, instance, agent, j) for j in range(instance.m)]
         check_work_bound(map(len, menus), max_candidates,
                          f"candidate rows for agent {agent + 1}")
         found = _first_lie(mech, instance, agent, menus, base, max_nodes)
@@ -192,8 +229,7 @@ def osp_falsify(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = N
         base = mech.item_counts(prefix, max_nodes=max_nodes)
         for agent in range(instance.n):
             menus = [(x,) for x in u[agent][:item]]
-            menus.append(_view_menu(mech.view, grid.values(instance, agent, item),
-                                    instance, agent, item))
+            menus.append(_view_menu(mech.view, grid, instance, agent, item))
             found = _first_lie(mech, prefix, agent, menus, base, max_nodes)
             if found is not None:
                 row = found[0] + u[agent][item + 1:]

@@ -9,7 +9,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from fairdiv import parse_instance
+import pytest
+
+from fairdiv import build_table_manifest, parse_instance
 from fairdiv.cli import main
 
 EX1 = "2 2\n1 2\n2 1\n"
@@ -368,6 +370,10 @@ def test_table_and_theorems_json_bytes_are_pinned(capsys):
     pins = {
         ("table", "--json", "--per-block", "20"):
             "20cdcc8d54c9162e3f2926449ef376e9cf5f344ef7de8f12c66ae0de06493a19",
+        # the default 200 per block, where a count memo shares the most
+        # across instances
+        ("table", "--json"):
+            "1c8154484fc8808973037c2693b80cfb0566bd9145efa742ff5c73264d37b44a",
         ("theorems", "--json"):
             "ffa9bc94a04d98c4c97835cbb3da4a200683afa7535d323a7256485002aac80b",
     }
@@ -466,6 +472,40 @@ def test_malformed_manifest_entries_are_usage_errors(capsys, tmp_path):
         assert (code, out) == (3, "")
         assert err.startswith(f"fairdiv: error: bad manifest entry {entry!r}: ")
         assert reason in err and err.count("\n") == 1
+
+
+def test_manifest_integers_are_not_truncated(capsys, tmp_path):
+    # int() once read 1.5 as example 1, a count of 2.7 as two instances and
+    # true as one
+    path = tmp_path / "m.json"
+    for entry, reason in (
+            ({"example": 1.5}, "'example' must be an integer, got 1.5"),
+            ({"example": True}, "'example' must be an integer, got True"),
+            ({"example": "1"}, "'example' must be an integer, got '1'"),
+            ({"random": {"count": 2.7, "seed": 1}}, "'count' must be an integer, got 2.7"),
+            ({"random": {"count": True, "seed": 1}}, "'count' must be an integer, got True"),
+            ({"random": {"count": -1, "seed": 1}}, "'count' must be at least 0, got -1"),
+            ({"random": {"count": 2, "seed": 1.0}}, "'seed' must be an integer, got 1.0")):
+        path.write_text(json.dumps({"blocks": {"general": [entry]}}), encoding="utf-8")
+        code, out, err = _run_err(capsys, "table", "--manifest", str(path), "--json")
+        assert (code, out) == (3, "")
+        assert err == f"fairdiv: error: bad manifest entry {entry!r}: {reason}\n"
+    entries = [{"example": 1}, {"random": {"count": 0, "seed": 1}},
+               {"random": {"count": 2, "seed": 1, "label": "r"}}]
+    path.write_text(json.dumps({"blocks": {"general": entries}}), encoding="utf-8")
+    code, payload = run_json(capsys, "table", "--manifest", str(path), "--json")
+    assert code in (0, 1) and payload["blocks"]["general"]["instances"] == 3
+
+
+def test_negative_per_block_is_a_usage_error(capsys):
+    # it once printed a table of the targeted instances alone, with exit 0
+    for argv in (("table", "--json"), ("table", "--write-manifest", "-")):
+        code, out, err = _run_err(capsys, *argv, "--per-block", "-3")
+        assert (code, out) == (3, "")
+        assert err == "fairdiv: error: --per-block must be at least 0, got -3\n"
+    with pytest.raises(ValueError, match="at least 0, got -1"):
+        build_table_manifest(-1)
+    assert build_table_manifest(0) == build_table_manifest(3)
 
 
 def test_sigma_errors_are_one_based(capsys):

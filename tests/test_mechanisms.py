@@ -16,6 +16,7 @@ from fairdiv import (
     DomainSpec,
     Instance,
     MECHANISM_NAMES,
+    Mechanism,
     PriorityOrder,
     RuleInvariantError,
     WorkBoundExceeded,
@@ -44,6 +45,7 @@ from fairdiv.mechanisms import (
     ParetoLikeRule,
     _positive_bidders,
     _undominated,
+    view_key,
 )
 
 SWAP = Instance(((1, 2), (2, 1)))
@@ -831,3 +833,91 @@ def test_item_counts_merge_equal_keys():
     layer, counts, scale = mechanisms._expand(BalancedLikeRule(), inst, bids, None, False)
     assert layer == {((), (2, 2)): scale}
     assert [[Fraction(c, scale) for c in row] for row in counts] == [[Fraction(1, 2)] * 4] * 2
+
+
+# --- the item_counts memo ------------------------------------------------
+#
+# `Mechanism.item_counts` runs its counter once per (agent count, bid view,
+# work bound) and answers later profiles with the same ones from a memo.
+
+def test_memoized_item_counts_equal_the_counter():
+    # one object per mechanism, so every later profile with a seen view is
+    # answered from the memo, twice over
+    ones = Instance(((1, 1, 1), (1, 1, 1)))
+    profiles = [(ones, BidProfile((flat[:3], flat[3:])))
+                for flat in product(range(4), repeat=6)]
+    profiles += seeded_cases(300, 20201019)
+    for name in MECHANISM_NAMES:
+        mech = get_mechanism(name)
+        want = [mech.counter(inst, bids, None) for inst, bids in profiles]
+        for _ in range(2):
+            got = [mech.item_counts(inst, bids) for inst, bids in profiles]
+            assert got == want, name
+        views = {(inst.n, view_key(mech.view, bids.bids)) for inst, bids in profiles}
+        assert len(mech._counted) == len(views)
+        assert len(views) < len(profiles) // 4 or mech.view == "bids"
+
+
+def test_item_counts_keep_agent_counts_apart():
+    # both profiles' columns are bid by agents 1 and 2 alone, so their
+    # signs and tops agree; only the agent count tells them apart
+    two = Instance(((1, 1), (1, 1)))
+    three = Instance(((1, 1), (1, 1), (0, 0)))
+    for name in MECHANISM_NAMES:
+        mech = get_mechanism(name)
+        for inst in (two, three, two, three):
+            counts, scale = mech.item_counts(inst)
+            assert len(counts) == inst.n
+            assert (counts, scale) == mech.counter(inst, None, None), name
+
+
+def test_item_counts_hand_out_fresh_lists():
+    for mech in (like(), maximum_like(), pareto_like()):
+        counts, scale = mech.item_counts(SWAP)
+        want = [list(row) for row in counts]
+        counts[0][0] += 5
+        counts.append([9])
+        again, _ = mech.item_counts(SWAP)
+        assert again == want
+        again[1][1] = -1
+        assert mech.item_counts(SWAP) == (want, scale)
+
+
+def test_item_counts_keep_no_exceptions():
+    inst = Instance(((1, 1, 1), (1, 1, 1)))
+    mech = like()
+    for _ in range(2):
+        with pytest.raises(WorkBoundExceeded):
+            mech.item_counts(inst, max_nodes=4)
+    assert mech.item_counts(inst, max_nodes=8) == ([[4, 4, 4], [4, 4, 4]], 8)
+    # the bound is part of the key, so an answer under another bound is
+    # not handed out
+    with pytest.raises(WorkBoundExceeded):
+        mech.item_counts(inst, max_nodes=4)
+    calls = []
+
+    def broken(instance, bids, max_nodes):
+        calls.append(bids)
+        raise RuleInvariantError("broken counter")
+
+    mech = Mechanism("broken", like().runner, broken, "signs")
+    for _ in range(2):
+        with pytest.raises(RuleInvariantError, match="broken counter"):
+            mech.item_counts(SWAP)
+    assert len(calls) == 2
+
+
+def test_item_counts_check_the_profile_shape_before_the_memo():
+    mech = like()
+    mech.item_counts(SWAP)
+    with pytest.raises(ValueError, match="shape differs"):
+        mech.item_counts(Instance(((1, 2, 1), (2, 1, 1))), BidProfile.sincere(SWAP))
+
+
+def test_view_keys():
+    bids = ((0, 2, 3, 0), (1, 2, Fraction(1, 2), 0), (1, 0, 3, 0))
+    assert view_key("signs", bids) == ((1, 2), (0, 1), (0, 1, 2), ())
+    assert view_key("tops", bids) == ((1, 2), (0, 1), (0, 2), ())
+    assert view_key("bids", [list(row) for row in bids]) == bids
+    with pytest.raises(ValueError, match="unknown bid view 'sizes'"):
+        view_key("sizes", bids)

@@ -1,5 +1,6 @@
 """Brute-force enumeration, dominance, and the exact improvement LP."""
 
+import operator
 import random
 from fractions import Fraction
 from itertools import product
@@ -435,12 +436,18 @@ def _redundant_lps():
 def test_integer_simplex_drives_out_zero_level_artificials(exact_divisions):
     for c, constraints in _redundant_lps():
         _assert_same_as_reference(c, constraints)
-    # the first LP's first pivot row is row 0 negated: [1, -1 | slack 0 |
-    # artificials -1, 0 | rhs 0]
+    # the first LP's first pivot row is row 0 negated. The simplex keeps
+    # R = d * B^-1 beside R b, so the recorded row is R's row 0 and its rhs,
+    # negated; times the LP's integer tableau [x1, x2 | slack | artificials
+    # | rhs] it is the tableau row [1, -1 | slack 0 | artificials -1, 0 | rhs 0]
     exact_divisions.clear()
     value, x = _simplex_maximize(*_redundant_lps()[0])
     assert value == 2 and x == [1, 1]
-    assert exact_divisions[0] == [1, -1, 0, -1, 0, 0]
+    assert exact_divisions[0] == [-1, 0, 0, 0]
+    tableau = [[-1, 1, 0, 1, 0, 0], [1, -1, 0, 0, 1, 0], [1, 1, 1, 0, 0, 2]]
+    r = exact_divisions[0][:-1]
+    row = [sum(map(operator.mul, r, col)) for col in zip(*tableau)]
+    assert row == [1, -1, 0, -1, 0, 0] and row[-1] == exact_divisions[0][-1]
 
 
 def test_integer_simplex_weights_phase_one_by_row_scale(exact_divisions):

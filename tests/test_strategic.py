@@ -34,6 +34,7 @@ from fairdiv import (
     step_probe,
     worked_example,
 )
+from fairdiv.mechanisms import VIEWS
 from fairdiv.strategic import _view_menu
 from test_mechanisms import reference_run, seeded_cases
 
@@ -420,7 +421,7 @@ def test_view_menus_reach_every_view_the_grid_reaches():
     for inst, grid, view in itertools.product(instances, grids, ("signs", "tops")):
         for agent, item in itertools.product(range(inst.n), range(inst.m)):
             menu = grid.values(inst, agent, item)
-            reduced = _view_menu(view, menu, inst, agent, item)
+            reduced = _view_menu(view, grid, inst, agent, item)
             assert set(reduced) <= set(menu) and len(reduced) <= 3
 
             def views(bids):
@@ -429,7 +430,37 @@ def test_view_menus_reach_every_view_the_grid_reaches():
 
             assert views(reduced) == views(menu), (view, inst, agent, item)
             assert len(views(reduced)) == len(reduced)
-    assert _view_menu("bids", menu, inst, agent, item) == menu
+    assert _view_menu("bids", grid, inst, agent, item) == menu
+
+
+def _grid_view_menu(view, menu, instance, agent, item):
+    """`_view_menu` as it was: a filter of the whole sorted grid menu."""
+    if view == "bids":
+        return menu
+    top = max((row[item] for i, row in enumerate(instance.utilities) if i != agent),
+              default=0)
+    if view == "signs" or top == 0:
+        keep = (0, next(x for x in menu if x > 0))
+    else:
+        keep = (0, top, next(x for x in menu if x > top))
+    return tuple(x for x in menu if x in keep)
+
+
+def test_view_menus_equal_the_grid_filter():
+    instances = list(_grid_instances(2, 3)) + [inst for inst, _ in seeded_cases(150, 20201020)]
+    grids = (BidGrid(), BidGrid(extra=(Fraction(5, 3), 9)),
+             BidGrid(extra=(0, Fraction(1, 100), 2)))
+    checked = 0
+    for inst, grid in itertools.product(instances, grids):
+        for agent, item in itertools.product(range(inst.n), range(inst.m)):
+            menu = grid.values(inst, agent, item)
+            for view in VIEWS:
+                got = _view_menu(view, grid, inst, agent, item)
+                want = _grid_view_menu(view, menu, inst, agent, item)
+                assert got == want, (view, inst, grid, agent, item)
+                assert list(map(type, got)) == list(map(type, want))
+                checked += 1
+    assert checked > 180_000
 
 
 def test_sign_view_is_guarded_by_the_step_probe():
@@ -442,6 +473,31 @@ def test_sign_view_is_guarded_by_the_step_probe():
     # a true sign rule passes, and a "tops" rule reports its witness
     assert step_probe(like(), SWAP) is None
     assert step_probe(maximum, SWAP) == ProbeWitness(0, 0, 2)
+
+
+def test_a_lie_is_recounted_on_its_own_bids():
+    # A table row scans its whole suite with one mechanism object, whose
+    # item_counts answer each bid view once. Declared "signs", maximum-like
+    # gets the counts of a first-instance profile, ((1/2, 1/2), (1, 1)),
+    # for agent 2's lie (1/2, 1/2) on the second instance, which shares its
+    # signs: on those counts the lie would pay.
+    maximum = maximum_like()
+    fake = Mechanism("fake-signs", maximum.runner, maximum.counter, "signs")
+    first, second = Instance(((0, 0), (1, 1))), Instance(((1, 1), (0, 1)))
+    assert sp_falsify(fake, first) is None
+    with pytest.raises(RuleInvariantError, match="fake-signs: declared bid view 'signs'"):
+        sp_falsify(fake, second)
+    # on its own bids the lie does not pay
+    half = Fraction(1, 2)
+    lie = BidProfile(((1, 1), (half, half)))
+    assert expected_true_value(maximum.run(second), 1, second.utilities) == half
+    assert expected_true_value(maximum.run(second, lie), 1, second.utilities) == 0
+    # true view mechanisms pass the recount, and one object scanning both
+    # instances answers as fresh ones do
+    for name in VIEW_MECHANISMS:
+        shared = get_mechanism(name)
+        for inst, search in itertools.product((first, second), (sp_falsify, osp_falsify)):
+            assert search(shared, inst) == search(get_mechanism(name), inst), name
 
 
 def _grid_counts(mech, max_nodes=None, memo=None):
