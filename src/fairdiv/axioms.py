@@ -21,13 +21,17 @@ cross-values over L * D; prefix-efa reads the first j columns of the same
 marginals, since an item's marginal does not depend on later items. pep
 compares each support vector with the last of the Pareto levels
 (`maximal_levels`) of the judged utilities used as bids, and enumerates
-allocations only to name its witness. Fractions are built only for the
-margin and the witness a verdict returns, so every verdict equals the one
-exact rational arithmetic gives.
+allocations only to name its witness. pea holds exactly when positive
+agent weights make every support allocation a weighted welfare maximizer
+(`_supporting_weights`, the LP's dual certificate, found without
+enumerating); only a failing pea runs the LP, for its margin and witness.
+Fractions are built only for the margin and the witness a verdict returns,
+so every verdict equals the one exact rational arithmetic gives.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -314,6 +318,18 @@ def _dominates(va: tuple[int, ...], vb: tuple[int, ...]) -> bool:
     return va != vb and all(map(operator.ge, va, vb))
 
 
+def _bounded_positives(scaled: list[list[int]], m: int,
+                       max_nodes: Optional[int]) -> tuple[tuple[int, ...], ...]:
+    """Each item's positive judged bidders, after the work bound of
+    enumerating the allocations they allow, which trips whether or not the
+    enumeration is needed."""
+    positives = tuple(tuple(i for i, row in enumerate(scaled) if row[j] > 0)
+                      for j in range(m))
+    check_work_bound((len(pos) or 1 for pos in positives), max_nodes,
+                     "enumerated allocations")
+    return positives
+
+
 def check_pep(dist: AllocationDistribution,
               utilities: Optional[UtilitiesLike] = None, *,
               max_nodes: Optional[int] = None) -> AxiomVerdict:
@@ -330,10 +346,7 @@ def check_pep(dist: AllocationDistribution,
     """
     u, bids = _resolve_utilities(dist, utilities)
     scaled, _ = integer_rows(u)
-    positives = tuple(tuple(i for i, row in enumerate(scaled) if row[j] > 0)
-                      for j in range(dist.m))
-    check_work_bound((len(pos) or 1 for pos in positives), max_nodes,
-                     "enumerated allocations")
+    positives = _bounded_positives(scaled, dist.m, max_nodes)
     maximal = maximal_levels(scaled, positives)[-1]
     efficient = set(maximal)  # no maximal vector dominates another
     for owners in dist.owners:
@@ -346,17 +359,77 @@ def check_pep(dist: AllocationDistribution,
     return AxiomVerdict("pep", True, None, None)
 
 
+def _supporting_weights(owners: Sequence[Sequence[Optional[int]]], scaled: list[list[int]],
+                        positives: Sequence[Sequence[int]]) -> Optional[list[int]]:
+    """Positive integer weights, on one scale, under which every allocation
+    in ``owners`` maximizes weighted welfare on the ``scaled`` rows, or None
+    when there are none. Such weights exist exactly when the support's
+    expected-utility point is Pareto efficient among lotteries.
+
+    If: every support allocation then attains the largest weighted welfare,
+    so the point p does too, and no lottery does better. A lottery that
+    weakly raises every agent and strictly raises the total would raise the
+    weighted welfare, since every weight is positive.
+
+    Only if: the pea LP (`pea_solution`) has value 0 at p, so its dual,
+    min over weights >= 1 of (max over allocations of the weighted welfare)
+    minus (the weighted welfare of p), is 0 too. p is the support's average,
+    so each support allocation attains that maximum, and hence gives every
+    item to a bidder of largest weighted value.
+
+    Per item j with positive bidders, every owner o of j in the support
+    must value it, and every other positive bidder k gives the difference
+    constraint ``lam_k * u_kj <= lam_o * u_oj``. Starting from weights 1,
+    Bellman-Ford relaxes them on exact (numerator, denominator) pairs; a
+    change in round n + 1 means a cycle of ratios whose product is below
+    1, and the constraints have no solution.
+    """
+    tightest: dict[tuple[int, int], tuple[int, int]] = {}  # (o, k): lam_k <= lam_o * a / b
+    for j, pos in enumerate(positives):
+        if not pos:
+            continue
+        for o in {row[j] for row in owners}:
+            if o is None or not scaled[o][j]:
+                return None  # giving j to a positive bidder dominates
+            for k in pos:
+                if k != o:
+                    a, b = scaled[o][j], scaled[k][j]
+                    old = tightest.get((o, k))
+                    if old is None or a * old[1] < old[0] * b:
+                        tightest[o, k] = (a, b)
+    lam = [(1, 1)] * len(scaled)
+    for _ in range(len(scaled) + 1):
+        changed = False
+        for (o, k), (a, b) in tightest.items():
+            num, den = lam[o][0] * a, lam[o][1] * b
+            if num * lam[k][1] < lam[k][0] * den:
+                common = math.gcd(num, den)
+                lam[k] = (num // common, den // common)
+                changed = True
+        if not changed:
+            scale = math.lcm(*(den for _, den in lam))
+            return [num * (scale // den) for num, den in lam]
+    return None
+
+
 def check_pea(dist: AllocationDistribution,
               utilities: Optional[UtilitiesLike] = None, *,
               max_nodes: Optional[int] = None) -> AxiomVerdict:
     """No lottery over non-wasteful allocations improves every expected utility.
 
-    Solved exactly as a linear program; the margin is the optimal total
-    gain, so the axiom holds exactly when the margin is zero.
+    Holds exactly when some positive agent weights make every support
+    allocation a weighted welfare maximizer (`_supporting_weights`), which
+    needs no enumeration. Otherwise the exact linear program of
+    `pea_solution` gives the margin, the optimal total gain, and its
+    optimal lottery as the witness. The enumeration's work bound is applied
+    first, so `WorkBoundExceeded` trips whichever path decides.
     """
     u, bids = _resolve_utilities(dist, utilities)
     ex = _ExAnte(dist, u)
     cross = ex.expected()
+    positives = _bounded_positives(ex.scaled, dist.m, max_nodes)
+    if _supporting_weights(dist.owners, ex.scaled, positives) is not None:
+        return AxiomVerdict("pea", True, 0, None)
     own = tuple(_value(cross[i][i], ex.scale) for i in range(dist.n))
     sol = pea_solution(own, dist.instance, bids, max_nodes=max_nodes)
     if sol.objective == 0:

@@ -131,7 +131,7 @@ def _view_menu(view: str, grid: BidGrid, instance: Instance,
 
 def _first_lie(mech: Mechanism, instance: Instance, agent: int,
                menus: Sequence[tuple[Value, ...]], base: tuple[ItemCounts, int],
-               max_nodes: Optional[int],
+               liar: tuple[Sequence[int], int], max_nodes: Optional[int],
                ) -> Optional[tuple[tuple[Value, ...], Value, Value]]:
     """The first row of ``menus``' product, other than ``agent``'s sincere
     row, that raises the agent's expected true utility in ``instance`` above
@@ -149,12 +149,13 @@ def _first_lie(mech: Mechanism, instance: Instance, agent: int,
     mechanism the returned row is counted once more on its own bids, past
     that memo, and a different count raises RuleInvariantError.
 
-    Values are compared on the liar's integer utility row by
+    ``liar`` is the liar's true utility row times an integer D, ``(row,
+    D)``, which the searches scale once. Values are compared on it by
     cross-multiplying each run's scale, as `memoryless_probe` does.
     """
     u = instance.utilities
     head, tail = u[:agent], u[agent + 1:]
-    (weights,), d = integer_rows([u[agent]])
+    weights, d = liar
     counts, scale = base
     baseline = sum(map(operator.mul, counts[agent], weights))
     for row in itertools.product(*menus):
@@ -201,11 +202,12 @@ def sp_falsify(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = No
     """
     grid = grid or BidGrid()
     base = mech.item_counts(instance, max_nodes=max_nodes)
+    scaled, d = integer_rows(instance.utilities)
     for agent in range(instance.n):
         menus = [_view_menu(mech.view, grid, instance, agent, j) for j in range(instance.m)]
         check_work_bound(map(len, menus), max_candidates,
                          f"candidate rows for agent {agent + 1}")
-        found = _first_lie(mech, instance, agent, menus, base, max_nodes)
+        found = _first_lie(mech, instance, agent, menus, base, (scaled[agent], d), max_nodes)
         if found is not None:
             return Deviation(agent, found[0], None, found[1], found[2])
     return None
@@ -224,13 +226,15 @@ def osp_falsify(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = N
     """
     grid = grid or BidGrid()
     u = instance.utilities
+    scaled, d = integer_rows(u)
     for item in range(instance.m):
         prefix = instance.prefix(item + 1)
         base = mech.item_counts(prefix, max_nodes=max_nodes)
         for agent in range(instance.n):
             menus = [(x,) for x in u[agent][:item]]
             menus.append(_view_menu(mech.view, grid, instance, agent, item))
-            found = _first_lie(mech, prefix, agent, menus, base, max_nodes)
+            found = _first_lie(mech, prefix, agent, menus, base,
+                               (scaled[agent][:item + 1], d), max_nodes)
             if found is not None:
                 row = found[0] + u[agent][item + 1:]
                 return Deviation(agent, row, item, found[1], found[2])

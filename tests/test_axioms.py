@@ -50,6 +50,8 @@ from fairdiv import (
     validate_domain,
     worked_example,
 )
+from fairdiv.axioms import _supporting_weights
+from fairdiv.core import integer_rows
 from fairdiv.instances import WORKED_EXAMPLE_IDS
 
 SWAP = Instance(((1, 2), (2, 1)))
@@ -484,3 +486,69 @@ def test_checker_edge_cases():
     _assert_checkers_match(alone)
     with pytest.raises(ValueError, match="0/1 utilities"):
         check_befp(like().run(Instance(((1, 2), (2, 1)))))
+
+
+# --- pea's supporting-weights certificate ----------------------------------
+#
+# check_pea decides "holds" from positive agent weights that make every
+# support allocation a weighted welfare maximizer, and runs the LP only when
+# there are none. With four agents the weights' difference constraints form
+# cycles of three and four ratios, which the grids above rarely reach.
+
+
+def _four_agent_cases(seed, count):
+    """``(dist, utilities)`` on seeded 4 x 2..4 fractional instances: sincere
+    and strategic runs, each judged on its instance and by an auditor matrix
+    that may value nothing in a column. One more run gives item j to the
+    j-th agent of a random ring of m agents, its lone bidder, and is judged
+    by a matrix where only that agent and the next one value j: the
+    constraints then form one cycle through all m agents."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(2, 4)
+        inst = Instance(_fractional_matrix(rng, 4, m))
+        bids = BidProfile(_fractional_matrix(rng, 4, m, zero_columns=True))
+        auditor = _fractional_matrix(rng, 4, m, zero_columns=True)
+        for dist in [*_distinct_runs(inst), *_distinct_runs(inst, bids)]:
+            yield dist, None
+            yield dist, auditor
+        ring = rng.sample(range(4), m)
+        lone = BidProfile(tuple(tuple(int(i == ring[j]) for j in range(m)) for i in range(4)))
+        cyclic = tuple(tuple(Fraction(rng.randint(1, 6), rng.randint(1, 4))
+                             if i in (ring[j], ring[(j + 1) % m]) else 0 for j in range(m))
+                       for i in range(4))
+        yield osd().run(inst, lone), cyclic
+
+
+def test_pea_matches_the_lp_with_four_agents():
+    failing = holding = 0
+    for dist, utilities in _four_agent_cases(20261020, 40):
+        got = _outcome(check_pea, dist, utilities)
+        assert got == _outcome(ref_pea, dist, utilities), (dist, utilities)
+        failing += not got["holds"]
+        holding += got["holds"]
+    assert failing > 100 and holding > 100
+
+
+def test_supporting_weights_make_the_support_welfare_maximal():
+    certified = 0
+    for dist, utilities in _four_agent_cases(20261021, 40):
+        u = _ref_resolve(dist, utilities)
+        scaled, _ = integer_rows(u)
+        positives = [tuple(i for i, row in enumerate(scaled) if row[j] > 0)
+                     for j in range(dist.m)]
+        lam = _supporting_weights(dist.owners, scaled, positives)
+        if lam is None:
+            continue
+        certified += 1
+        assert all(isinstance(x, int) and x > 0 for x in lam)
+
+        def welfare(owners):
+            return sum(lam[o] * scaled[o][j] for j, o in enumerate(owners) if o is not None)
+
+        best = {welfare(owners) for owners in dist.owners}
+        assert len(best) == 1, (dist, utilities, lam)
+        bids = None if utilities is None else BidProfile(u)
+        assert all(welfare(a.owners) <= min(best)
+                   for a in enumerate_allocations(dist.instance, bids))
+    assert certified > 100

@@ -73,3 +73,19 @@ def test_engines_build_distributions_past_the_validating_path():
     calls = {module: _validating_calls(module) for module in MODULES
              if module not in ("core", "instances")}
     assert {module: lines for module, lines in calls.items() if lines} == {}
+
+
+def test_the_pea_certificate_reaches_no_oracle_code():
+    # the reference pea checker audits the supporting-weights certificate
+    # through the oracle's LP, so the certificate must not reach the
+    # oracle: it uses no name from a sibling module and no other function
+    # of axioms, through which it could
+    tree = ast.parse((PACKAGE / "axioms.py").read_text(encoding="utf-8"))
+    helper = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and node.name == "_supporting_weights")
+    imported = _imports("axioms")
+    assert ("oracle", "pea_solution") in imported
+    local = {node.name for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node is not helper}
+    used = {node.id for node in ast.walk(helper) if isinstance(node, ast.Name)}
+    assert used & ({name for _, name in imported} | local) == set()
