@@ -546,9 +546,9 @@ def test_supporting_weights_make_the_support_welfare_maximal():
         def welfare(owners):
             return sum(lam[o] * scaled[o][j] for j, o in enumerate(owners) if o is not None)
 
-        best = {welfare(owners) for owners in dist.owners}
-        assert len(best) == 1, (dist, utilities, lam)
+        support = {welfare(owners) for owners in dist.owners}
+        assert len(support) == 1, (dist, utilities, lam)
         bids = None if utilities is None else BidProfile(u)
-        assert all(welfare(a.owners) <= min(best)
+        assert all(welfare(a.owners) <= max(support)
                    for a in enumerate_allocations(dist.instance, bids))
     assert certified > 100
