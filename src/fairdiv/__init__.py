@@ -42,6 +42,7 @@ from .core import (
     expected_utilities,
     format_value,
     marginals,
+    work_bound,
 )
 from .instances import (
     DOMAIN_NAMES,
@@ -56,7 +57,6 @@ from .instances import (
     parse_instance,
     parse_rational,
     random_suite,
-    serialize_bids,
     serialize_instance,
     validate_domain,
     worked_example,
@@ -79,7 +79,6 @@ from .mechanisms import (
 from .oracle import (
     LPSolution,
     enumerate_allocations,
-    is_pea,
     pareto_frontier,
     pea_solution,
     utility_vector,

@@ -318,21 +318,18 @@ def _dominates(va: tuple[int, ...], vb: tuple[int, ...]) -> bool:
     return va != vb and all(map(operator.ge, va, vb))
 
 
-def _bounded_positives(scaled: list[list[int]], m: int,
-                       max_nodes: Optional[int]) -> tuple[tuple[int, ...], ...]:
+def _bounded_positives(scaled: list[list[int]], m: int) -> tuple[tuple[int, ...], ...]:
     """Each item's positive judged bidders, after the work bound of
     enumerating the allocations they allow, which trips whether or not the
     enumeration is needed."""
     positives = tuple(tuple(i for i, row in enumerate(scaled) if row[j] > 0)
                       for j in range(m))
-    check_work_bound((len(pos) or 1 for pos in positives), max_nodes,
-                     "enumerated allocations")
+    check_work_bound((len(pos) or 1 for pos in positives), "enumerated allocations")
     return positives
 
 
 def check_pep(dist: AllocationDistribution,
-              utilities: Optional[UtilitiesLike] = None, *,
-              max_nodes: Optional[int] = None) -> AxiomVerdict:
+              utilities: Optional[UtilitiesLike] = None) -> AxiomVerdict:
     """Every support allocation is Pareto optimal among non-wasteful ones.
 
     The non-wasteful allocations give each item to a positive bidder under
@@ -346,13 +343,13 @@ def check_pep(dist: AllocationDistribution,
     """
     u, bids = _resolve_utilities(dist, utilities)
     scaled, _ = integer_rows(u)
-    positives = _bounded_positives(scaled, dist.m, max_nodes)
+    positives = _bounded_positives(scaled, dist.m)
     maximal = maximal_levels(scaled, positives)[-1]
     efficient = set(maximal)  # no maximal vector dominates another
     for owners in dist.owners:
         own = _own_vector(owners, scaled)
         if own not in efficient and any(_dominates(v, own) for v in maximal):
-            candidates = enumerate_allocations(dist.instance, bids, max_nodes=max_nodes)
+            candidates = enumerate_allocations(dist.instance, bids)
             rival = next(r for r in candidates if _dominates(_own_vector(r.owners, scaled), own))
             return AxiomVerdict("pep", False, None,
                                 DominationWitness(Allocation._trusted(owners), rival))
@@ -413,8 +410,7 @@ def _supporting_weights(owners: Sequence[Sequence[Optional[int]]], scaled: list[
 
 
 def check_pea(dist: AllocationDistribution,
-              utilities: Optional[UtilitiesLike] = None, *,
-              max_nodes: Optional[int] = None) -> AxiomVerdict:
+              utilities: Optional[UtilitiesLike] = None) -> AxiomVerdict:
     """No lottery over non-wasteful allocations improves every expected utility.
 
     Holds exactly when some positive agent weights make every support
@@ -427,11 +423,11 @@ def check_pea(dist: AllocationDistribution,
     u, bids = _resolve_utilities(dist, utilities)
     ex = _ExAnte(dist, u)
     cross = ex.expected()
-    positives = _bounded_positives(ex.scaled, dist.m, max_nodes)
+    positives = _bounded_positives(ex.scaled, dist.m)
     if _supporting_weights(dist.owners, ex.scaled, positives) is not None:
         return AxiomVerdict("pea", True, 0, None)
     own = tuple(_value(cross[i][i], ex.scale) for i in range(dist.n))
-    sol = pea_solution(own, dist.instance, bids, max_nodes=max_nodes)
+    sol = pea_solution(own, dist.instance, bids)
     if sol.objective == 0:
         return AxiomVerdict("pea", True, 0, None)
     return AxiomVerdict("pea", False, sol.objective, ImprovementWitness(sol))
@@ -449,20 +445,18 @@ CHECKERS = {
 
 
 def ex_post_equivalent(mech_a: Mechanism, mech_b: Mechanism, instance: Instance,
-                       bids: Optional[BidProfile] = None, *,
-                       max_nodes: Optional[int] = None) -> bool:
+                       bids: Optional[BidProfile] = None) -> bool:
     """The two mechanisms output identical allocation distributions."""
-    da = mech_a.run(instance, bids, max_nodes=max_nodes)
-    db = mech_b.run(instance, bids, max_nodes=max_nodes)
+    da = mech_a.run(instance, bids)
+    db = mech_b.run(instance, bids)
     return da == db
 
 
 def ex_ante_equivalent(mech_a: Mechanism, mech_b: Mechanism, instance: Instance,
-                       bids: Optional[BidProfile] = None, *,
-                       max_nodes: Optional[int] = None) -> bool:
+                       bids: Optional[BidProfile] = None) -> bool:
     """The two mechanisms induce the same agent-item probability matrix."""
-    da = mech_a.run(instance, bids, max_nodes=max_nodes)
-    db = mech_b.run(instance, bids, max_nodes=max_nodes)
+    da = mech_a.run(instance, bids)
+    db = mech_b.run(instance, bids)
     return marginals(da) == marginals(db)
 
 

@@ -97,29 +97,25 @@ EXPECTED_TABLE: dict[str, dict[str, dict[str, tuple[bool, bool]]]] = {
 }
 
 
-def check_axiom(name: str, dist: AllocationDistribution, *, bound: Value = 1,
-                max_nodes: Optional[int] = None) -> AxiomVerdict:
+def check_axiom(name: str, dist: AllocationDistribution, *, bound: Value = 1) -> AxiomVerdict:
     """Judge ``dist`` by the axiom named as on the command line: a key of
-    `CHECKERS`, ``"envy-bounded"`` (at ``bound``) or ``"prefix-efa"``.
-    ``max_nodes`` bounds the allocations that pea and pep enumerate."""
+    `CHECKERS`, ``"envy-bounded"`` (at ``bound``) or ``"prefix-efa"``."""
     if name == "envy-bounded":
         return check_envy_bounded(dist, bound=bound)
     if name == "prefix-efa":
         return check_prefix_efa(dist)
-    if name in ("pea", "pep"):
-        return CHECKERS[name](dist, max_nodes=max_nodes)
     return CHECKERS[name](dist)
 
 
 def _first_failure(column: str, block: str, mech: Mechanism, suite: Sequence[Labeled],
                    runs: Sequence[tuple[str, AllocationDistribution]],
-                   max_nodes: Optional[int]) -> Optional[tuple[str, dict]]:
+                   ) -> Optional[tuple[str, dict]]:
     """The label and JSON witness of the first instance that breaks the
     column, or None when it holds on the whole suite."""
     if column in ("sp", "osp"):
         search = sp_falsify if column == "sp" else osp_falsify
         for label, inst in suite:
-            found = search(mech, inst, max_nodes=max_nodes)
+            found = search(mech, inst)
             if found is not None:
                 return label, found.to_json()
         return None
@@ -127,7 +123,7 @@ def _first_failure(column: str, block: str, mech: Mechanism, suite: Sequence[Lab
     # relaxation, envy bounded by one item's worth (bound 1)
     axiom = "envy-bounded" if column == "befp" and block != "binary" else column
     for label, dist in runs:
-        verdict = check_axiom(axiom, dist, max_nodes=max_nodes)
+        verdict = check_axiom(axiom, dist)
         if not verdict.holds:
             witness = {} if verdict.witness is None else verdict.witness.to_json()
             if verdict.margin is not None:
@@ -140,8 +136,7 @@ def _mark(holds: bool) -> str:
     return "+" if holds else "x"
 
 
-def table_report(suites: Mapping[str, Sequence[Labeled]],
-                 max_nodes: Optional[int] = None) -> dict:
+def table_report(suites: Mapping[str, Sequence[Labeled]]) -> dict:
     """Recompute the verdict table on each block's suite, in the mapping's
     order, and compare it with `EXPECTED_TABLE`.
 
@@ -157,10 +152,10 @@ def table_report(suites: Mapping[str, Sequence[Labeled]],
         rows = []
         for name in BLOCK_ROWS[block]:
             mech = get_mechanism(name)
-            runs = [(label, mech.run(inst, max_nodes=max_nodes)) for label, inst in suite]
+            runs = [(label, mech.run(inst)) for label, inst in suite]
             cells = {}
             for column in COLUMNS:
-                failure = _first_failure(column, block, mech, suite, runs, max_nodes)
+                failure = _first_failure(column, block, mech, suite, runs)
                 holds = failure is None
                 label, witness = failure or (None, None)
                 expected, prior = EXPECTED_TABLE[block][name][column]
@@ -200,7 +195,7 @@ def _theorem_suites(seed: int):
     return mixed, identical, binary, positive
 
 
-def theorem_checks(seed: int, max_nodes: Optional[int]) -> list[dict]:
+def theorem_checks(seed: int) -> list[dict]:
     """Check the 13 named claims on suites drawn from ``seed``; each check
     is ``{"name", "ok", "note"}``, in the order ``fairdiv theorems`` prints."""
     mixed, identical, binary, positive = _theorem_suites(seed)
@@ -218,11 +213,11 @@ def theorem_checks(seed: int, max_nodes: Optional[int]) -> list[dict]:
         for j in range(1, inst.m + 1):
             sub = inst.prefix(j)
             brute = {utility_vector(a, sub.utilities)
-                     for a in pareto_frontier(sub, max_nodes=max_nodes)}
+                     for a in pareto_frontier(sub)}
             ok = ok and set(levels[j - 1]) == brute
             ok = ok and viable[j - 1] <= brute
-        support = set(pl.run(inst, max_nodes=max_nodes).owners)
-        front = {a.owners for a in pareto_frontier(inst, max_nodes=max_nodes)}
+        support = set(pl.run(inst).owners)
+        front = {a.owners for a in pareto_frontier(inst)}
         ok = ok and support == front
     add("pareto-frontier-routes-agree", ok,
         f"incremental vs enumerated frontiers on {len(mixed)} instances, all prefixes")
@@ -235,7 +230,7 @@ def theorem_checks(seed: int, max_nodes: Optional[int]) -> list[dict]:
     }
     bad = []
     for name, flags in expected_profiles.items():
-        prof = classify(get_mechanism(name), mixed, max_nodes=max_nodes)
+        prof = classify(get_mechanism(name), mixed)
         if (prof.step, prof.memoryless) != flags or not prof.characterization_consistent:
             bad.append(name)
     add("honesty-needs-sign-and-history-independence", not bad,
@@ -246,22 +241,22 @@ def theorem_checks(seed: int, max_nodes: Optional[int]) -> list[dict]:
     ok = True
     for _, inst in mixed:
         fact = math.factorial(inst.n)
-        parts = [(osd(PriorityOrder(p)).run(inst, max_nodes=max_nodes), Fraction(1, fact))
+        parts = [(osd(PriorityOrder(p)).run(inst), Fraction(1, fact))
                  for p in permutations(range(inst.n))]
-        ok = ok and AllocationDistribution.mix(parts) == orp().run(inst, max_nodes=max_nodes)
+        ok = ok and AllocationDistribution.mix(parts) == orp().run(inst)
     add("priority-mixture-equals-direct-average", ok,
         f"checked on {len(mixed)} instances")
 
     # 4: every positive bidder gets an equal share of each item
     ok = True
     for _, inst in mixed:
-        p = marginals(like().run(inst, max_nodes=max_nodes))
+        p = marginals(like().run(inst))
         for j in range(inst.m):
             pos = [i for i in range(inst.n) if inst.utility(i, j) > 0]
             for i in range(inst.n):
                 want = Fraction(1, len(pos)) if i in pos else 0
                 ok = ok and p.entry(i, j) == want
-        ok = ok and ex_ante_equivalent(like(), orp(), inst, max_nodes=max_nodes)
+        ok = ok and ex_ante_equivalent(like(), orp(), inst)
     add("positive-bidders-share-items-equally", ok,
         f"marginals and the uniform-priority match on {len(mixed)} instances")
 
@@ -269,17 +264,15 @@ def theorem_checks(seed: int, max_nodes: Optional[int]) -> list[dict]:
     ok = True
     for mech in (like(), orp()):
         for _, inst in mixed:
-            dist = mech.run(inst, max_nodes=max_nodes)
+            dist = mech.run(inst)
             ok = ok and check_efa(dist).holds and check_sefa(dist).holds
     add("uniform-sharing-is-envy-free-ex-ante", ok,
         f"both sharing rules on {len(mixed)} instances")
 
     # 6: bundle balancing caps envy at one item on 0/1 utilities; plain
     #    sharing does not
-    bl_ok = all(check_befp(balanced_like().run(i, max_nodes=max_nodes)).holds
-                for _, i in binary)
-    like_breaks = any(not check_befp(like().run(i, max_nodes=max_nodes)).holds
-                      for _, i in binary)
+    bl_ok = all(check_befp(balanced_like().run(i)).holds for _, i in binary)
+    like_breaks = any(not check_befp(like().run(i)).holds for _, i in binary)
     add("balanced-bundles-bound-envy-on-binary", bl_ok and like_breaks,
         f"{len(binary)} binary instances; unbalanced sharing exceeds the bound")
 
@@ -288,18 +281,15 @@ def theorem_checks(seed: int, max_nodes: Optional[int]) -> list[dict]:
     for _, inst in mixed:
         mechs = (osd(), osd(tuple(reversed(range(inst.n)))), maximum_like())
         for mech in mechs:
-            dist = mech.run(inst, max_nodes=max_nodes)
-            ok = (ok and check_pea(dist, max_nodes=max_nodes).holds
-                  and check_pep(dist, max_nodes=max_nodes).holds)
+            dist = mech.run(inst)
+            ok = ok and check_pea(dist).holds and check_pep(dist).holds
     add("dictatorships-and-top-bidders-are-efficient", ok,
         f"two priority orders and the top-bidder rule on {len(mixed)} instances")
 
     # 8: the frontier rule never outputs a dominated allocation, yet its
     #    lottery can be dominated
-    pep_ok = all(check_pep(pareto_like().run(i, max_nodes=max_nodes),
-                           max_nodes=max_nodes).holds for _, i in mixed)
-    pea_breaks = any(not check_pea(pareto_like().run(i, max_nodes=max_nodes),
-                                   max_nodes=max_nodes).holds for _, i in mixed)
+    pep_ok = all(check_pep(pareto_like().run(i)).holds for _, i in mixed)
+    pea_breaks = any(not check_pea(pareto_like().run(i)).holds for _, i in mixed)
     add("frontier-rule-is-efficient-ex-post-only", pep_ok and pea_breaks,
         f"{len(mixed)} instances; at least one lottery improvement found")
 
@@ -307,7 +297,7 @@ def theorem_checks(seed: int, max_nodes: Optional[int]) -> list[dict]:
     #    everyone likes everything
     ok = True
     for _, inst in positive:
-        dist = like().run(inst, max_nodes=max_nodes)
+        dist = like().run(inst)
         ok = (ok and check_prefix_efa(dist).holds
               and marginals(dist) == efa_forced_marginals(inst))
     add("stepwise-envy-freeness-forces-equal-shares", ok,
@@ -318,31 +308,29 @@ def theorem_checks(seed: int, max_nodes: Optional[int]) -> list[dict]:
     inst, _ = worked_example(1)
     forced = efa_forced_marginals(inst)
     own = expected_utilities(forced, inst.utilities).own()
-    sol = pea_solution(own, inst, max_nodes=max_nodes)
+    sol = pea_solution(own, inst)
     ok = own == (Fraction(3, 2), Fraction(3, 2)) and sol.objective == 1
-    dl = like().run(inst, max_nodes=max_nodes)
-    ok = ok and check_prefix_efa(dl).holds and not check_pea(dl, max_nodes=max_nodes).holds
+    dl = like().run(inst)
+    ok = ok and check_prefix_efa(dl).holds and not check_pea(dl).holds
     for mech in (osd(), maximum_like()):
-        d = mech.run(inst, max_nodes=max_nodes)
-        ok = (ok and check_pea(d, max_nodes=max_nodes).holds
-              and not check_prefix_efa(d).holds)
+        d = mech.run(inst)
+        ok = ok and check_pea(d).holds and not check_prefix_efa(d).holds
     add("equal-shares-conflict-with-ex-ante-efficiency", ok,
         "forced shares lose total utility 1 to a lottery on the swap instance")
 
     # 11: with zero utilities allowed, envy-freeness ex ante does not pin
     #     down the marginals
     inst2, tilted = worked_example(2)
-    d2 = tilted.run(inst2, max_nodes=max_nodes)
-    ok = (check_efa(d2).holds
-          and marginals(d2) != marginals(like().run(inst2, max_nodes=max_nodes)))
+    d2 = tilted.run(inst2)
+    ok = check_efa(d2).holds and marginals(d2) != marginals(like().run(inst2))
     add("tilted-variant-stays-envy-free-ex-ante", ok,
         "hand-tilted sharing keeps envy-freeness with different marginals")
 
     # 12: changing one instance's outcome can break efficiency outright
     inst4, patched = worked_example(4)
-    d4 = patched.run(inst4, max_nodes=max_nodes)
-    v_pep = check_pep(d4, max_nodes=max_nodes)
-    v_pea = check_pea(d4, max_nodes=max_nodes)
+    d4 = patched.run(inst4)
+    v_pep = check_pep(d4)
+    v_pea = check_pea(d4)
     ok = (not v_pep.holds) and (not v_pea.holds) and v_pea.margin == Fraction(3, 4)
     add("one-instance-exception-breaks-efficiency", ok,
         "patched top-bidder rule is dominated ex post and ex ante")
@@ -350,13 +338,12 @@ def theorem_checks(seed: int, max_nodes: Optional[int]) -> list[dict]:
     # 13: with identical utilities the rules collapse and become efficient
     ok = True
     for _, inst in identical:
-        ok = ok and ex_post_equivalent(like(), pareto_like(), inst, max_nodes=max_nodes)
-        ok = ok and ex_post_equivalent(like(), maximum_like(), inst, max_nodes=max_nodes)
-        ok = ok and ex_ante_equivalent(like(), balanced_like(), inst, max_nodes=max_nodes)
+        ok = ok and ex_post_equivalent(like(), pareto_like(), inst)
+        ok = ok and ex_post_equivalent(like(), maximum_like(), inst)
+        ok = ok and ex_ante_equivalent(like(), balanced_like(), inst)
         for mech in (like(), balanced_like()):
-            d = mech.run(inst, max_nodes=max_nodes)
-            ok = (ok and check_pea(d, max_nodes=max_nodes).holds
-                  and check_pep(d, max_nodes=max_nodes).holds)
+            d = mech.run(inst)
+            ok = ok and check_pea(d).holds and check_pep(d).holds
     add("identical-preferences-collapse-the-rules", ok,
         f"{len(identical)} identical-utility instances")
 

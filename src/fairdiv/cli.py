@@ -30,6 +30,7 @@ from typing import Optional, Sequence
 from .axioms import check_efa, check_pea, check_pep
 from .claims import BLOCKS, COLUMNS, check_axiom, table_report, theorem_checks
 from .core import (
+    DEFAULT_MAX_NODES,
     AllocationDistribution,
     BidProfile,
     Instance,
@@ -38,6 +39,7 @@ from .core import (
     expected_utilities,
     format_value,
     marginals,
+    work_bound,
 )
 from .instances import (
     DOMAIN_NAMES,
@@ -93,12 +95,13 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _max_nodes(args) -> Optional[int]:
+def _max_nodes(args) -> int:
+    """The work bound: --max-nodes, else FAIRDIV_MAX_NODES, else the default."""
     if args.max_nodes is not None:
         return args.max_nodes
     env = os.environ.get("FAIRDIV_MAX_NODES")
     try:
-        return int(env) if env else None
+        return int(env) if env else DEFAULT_MAX_NODES
     except ValueError:
         raise ValueError(f"FAIRDIV_MAX_NODES must be an integer, got {env!r}") from None
 
@@ -163,7 +166,7 @@ def cmd_run(args) -> int:
     instance = _resolve_instance(args)
     bids = _resolve_bids(args)
     mech = _resolve_mechanism(args)
-    dist = mech.run(instance, bids, max_nodes=_max_nodes(args))
+    dist = mech.run(instance, bids)
     p = marginals(dist)
     ubar = expected_utilities(p, instance.utilities)
     if args.json:
@@ -211,10 +214,9 @@ def cmd_check(args) -> int:
     instance = _resolve_instance(args)
     bids = _resolve_bids(args)
     mech = _resolve_mechanism(args)
-    nodes = _max_nodes(args)
-    dist = mech.run(instance, bids, max_nodes=nodes)
+    dist = mech.run(instance, bids)
     bound = parse_rational(args.bound)
-    results = [(name, check_axiom(name, dist, bound=bound, max_nodes=nodes))
+    results = [(name, check_axiom(name, dist, bound=bound))
                for name in _axiom_names(args.axiom or ["all"], instance)]
     ok = all(v.holds for _, v in results)
     if args.json:
@@ -249,16 +251,14 @@ def cmd_falsify(args) -> int:
     instance = _resolve_instance(args)
     mech = _resolve_mechanism(args)
     grid = _grid_from_args(args)
-    nodes = _max_nodes(args)
     if args.property == "sp":
-        found = sp_falsify(mech, instance, grid,
-                           max_candidates=args.max_candidates, max_nodes=nodes)
+        found = sp_falsify(mech, instance, grid, max_candidates=args.max_candidates)
     elif args.property == "osp":
-        found = osp_falsify(mech, instance, grid, max_nodes=nodes)
+        found = osp_falsify(mech, instance, grid)
     elif args.property == "step":
-        found = step_probe(mech, instance, grid, max_nodes=nodes)
+        found = step_probe(mech, instance, grid)
     else:
-        found = memoryless_probe(mech, instance, grid, max_nodes=nodes)
+        found = memoryless_probe(mech, instance, grid)
     if args.json:
         print(json.dumps({
             "mechanism": mech.name,
@@ -308,7 +308,7 @@ def cmd_gen(args) -> int:
 
 # --- examples ----------------------------------------------------------
 
-def _example_payload(eid: int, max_nodes: Optional[int]) -> dict:
+def _example_payload(eid: int) -> dict:
     instance, constructed = worked_example(eid)
     payload: dict = {
         "id": eid,
@@ -318,11 +318,11 @@ def _example_payload(eid: int, max_nodes: Optional[int]) -> dict:
     if constructed is None:
         for name in MECHANISM_NAMES:
             mech = get_mechanism(name)
-            dist = mech.run(instance, max_nodes=max_nodes)
+            dist = mech.run(instance)
             payload["mechanisms"][name] = _dist_json(dist)
     else:
-        dist = constructed.run(instance, max_nodes=max_nodes)
-        base = constructed.base.run(instance, max_nodes=max_nodes)
+        dist = constructed.run(instance)
+        base = constructed.base.run(instance)
         payload["constructed"] = {
             "name": constructed.name,
             "distribution": _dist_json(dist),
@@ -335,14 +335,14 @@ def _example_payload(eid: int, max_nodes: Optional[int]) -> dict:
                 marginals(dist) == marginals(base)
             )
         if eid == 4:
-            payload["constructed"]["pep"] = check_pep(dist, max_nodes=max_nodes).to_json()
-            payload["constructed"]["pea"] = check_pea(dist, max_nodes=max_nodes).to_json()
+            payload["constructed"]["pep"] = check_pep(dist).to_json()
+            payload["constructed"]["pea"] = check_pea(dist).to_json()
     return payload
 
 
 def cmd_examples(args) -> int:
     ids = [args.id] if args.id is not None else list(WORKED_EXAMPLE_IDS)
-    payloads = [_example_payload(eid, _max_nodes(args)) for eid in ids]
+    payloads = [_example_payload(eid) for eid in ids]
     if args.json:
         print(json.dumps({"examples": payloads}, indent=2))
         return EXIT_OK
@@ -396,13 +396,17 @@ def cmd_table(args) -> int:
         manifest = load_manifest(_read_text(args.manifest))
     else:
         manifest = load_manifest(build_table_manifest(args.per_block, args.seed))
+    unknown = [b for b in manifest if b not in BLOCKS]
+    if unknown:
+        raise ValueError(f"unknown manifest block {unknown[0]!r}; expected one of "
+                         f"{', '.join(BLOCKS)}")
     blocks = [b for b in BLOCKS if b in manifest]
     if args.block:
         blocks = [b for b in blocks if b in args.block]
     if not blocks:
         raise ValueError("no blocks selected")
     started = time.perf_counter()
-    report = table_report({b: manifest[b] for b in blocks}, _max_nodes(args))
+    report = table_report({b: manifest[b] for b in blocks})
     mismatches = report["mismatches"]
     if args.json:
         print(json.dumps(report, indent=2))
@@ -442,7 +446,7 @@ def cmd_table(args) -> int:
 
 def cmd_theorems(args) -> int:
     started = time.perf_counter()
-    checks = theorem_checks(args.seed, _max_nodes(args))
+    checks = theorem_checks(args.seed)
     ok = all(c["ok"] for c in checks)
     if args.json:
         print(json.dumps({"checks": checks, "all_ok": ok}, indent=2))
@@ -557,7 +561,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # gen runs nothing exponential, so it has no bound to read
+        with work_bound(_max_nodes(args) if "max_nodes" in args else DEFAULT_MAX_NODES):
+            return args.func(args)
     except ParseError as exc:
         _fail(str(exc))
         return EXIT_USAGE

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 import operator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -27,6 +29,8 @@ Value = Union[int, Fraction]
 #: open-ended run into a clear error at desk scale.
 DEFAULT_MAX_NODES = 10**6
 
+_work_bound: ContextVar[int] = ContextVar("work_bound", default=DEFAULT_MAX_NODES)
+
 
 class FairDivError(Exception):
     """Base class for library errors."""
@@ -36,12 +40,31 @@ class WorkBoundExceeded(FairDivError):
     """The operation would exceed its configured work budget."""
 
 
-def check_work_bound(widths: Iterable[int], max_nodes: Optional[int], what: str) -> None:
+@contextmanager
+def work_bound(max_nodes: int) -> Iterator[None]:
+    """Bound the work of every exponential run inside the block (expansion
+    tree leaves, orp's priority orders, enumerated allocations) by
+    ``max_nodes``; outside any block it is `DEFAULT_MAX_NODES`. Blocks nest,
+    and the outer bound returns when a block exits, also by an exception.
+    The bound decides only whether a run raises WorkBoundExceeded, never
+    what it returns."""
+    token = _work_bound.set(max_nodes)
+    try:
+        yield
+    finally:
+        _work_bound.reset(token)
+
+
+def current_work_bound() -> int:
+    """The bound that the innermost enclosing `work_bound` block set."""
+    return _work_bound.get()
+
+
+def check_work_bound(widths: Iterable[int], what: str) -> None:
     """Raise WorkBoundExceeded when the product of ``widths`` (the options
-    at each step of an exponential run) exceeds ``max_nodes``, checked as
-    the product grows; None means `DEFAULT_MAX_NODES`. A bound below 1 is
-    a ValueError."""
-    bound = DEFAULT_MAX_NODES if max_nodes is None else max_nodes
+    at each step of an exponential run) exceeds the current `work_bound`,
+    checked as the product grows. A bound below 1 is a ValueError."""
+    bound = _work_bound.get()
     if bound < 1:
         raise ValueError(f"{what}: work bound must be at least 1, got {bound}")
     total = 1
@@ -380,9 +403,6 @@ class AllocationDistribution:
     def support(self) -> tuple[Allocation, ...]:
         # tuple() of an iterator resizes a guessed tuple, feeding CPython's free lists
         return tuple([Allocation._trusted(o) for o in self.owners])
-
-    def as_dict(self) -> dict[Allocation, Fraction]:
-        return dict(self.entries)
 
     def prefix(self, upto: int) -> "AllocationDistribution":
         """Marginal distribution over the first ``upto`` items."""

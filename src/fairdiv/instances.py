@@ -112,22 +112,12 @@ def parse_bids(text: str) -> BidProfile:
         raise ParseError(str(exc)) from None
 
 
-def _serialize_matrix(mat: Sequence[Sequence[Value]]) -> str:
-    n = len(mat)
-    m = len(mat[0]) if n else 0
-    lines = [f"{n} {m}"]
-    if m:
-        for row in mat:
+def serialize_instance(instance: Instance) -> str:
+    lines = [f"{instance.n} {instance.m}"]
+    if instance.m:
+        for row in instance.utilities:
             lines.append(" ".join(format_value(x) for x in row))
     return "\n".join(lines) + "\n"
-
-
-def serialize_instance(instance: Instance) -> str:
-    return _serialize_matrix(instance.utilities)
-
-
-def serialize_bids(bids: BidProfile) -> str:
-    return _serialize_matrix(bids.bids)
 
 
 @dataclass(frozen=True)
@@ -278,24 +268,24 @@ class ConstructedMechanism:
                 return bids, dist
         return bids, None
 
-    def run(self, instance: Instance, bids: Optional[BidProfile] = None, *,
-            max_nodes: Optional[int] = None) -> AllocationDistribution:
+    def run(self, instance: Instance,
+            bids: Optional[BidProfile] = None) -> AllocationDistribution:
         bids, dist = self._override(instance, bids)
         if dist is not None:
             # rebind to the caller's instance; the outcome depends on
             # the observed bids only
             return AllocationDistribution._trusted(
                 instance, dict(zip(dist.owners, dist.weights)), dist.scale)
-        return self.base.run(instance, bids, max_nodes=max_nodes)
+        return self.base.run(instance, bids)
 
-    def item_counts(self, instance: Instance, bids: Optional[BidProfile] = None, *,
-                    max_nodes: Optional[int] = None) -> tuple[ItemCounts, int]:
+    def item_counts(self, instance: Instance,
+                    bids: Optional[BidProfile] = None) -> tuple[ItemCounts, int]:
         """Integer item marginals (counts, L) of `run`'s distribution, as
         `Mechanism.item_counts` gives them; L is the lcm of an override's
         probability denominators."""
         bids, dist = self._override(instance, bids)
         if dist is None:
-            return self.base.item_counts(instance, bids, max_nodes=max_nodes)
+            return self.base.item_counts(instance, bids)
         return marginal_counts(dist)
 
 
@@ -377,6 +367,8 @@ def random_suite(count: int, seed: int, *,
                  m_range: tuple[int, int] = (2, 3),
                  bound: int = 3) -> list[Labeled]:
     """A deterministic mixed-domain suite of ``count`` labeled instances."""
+    if not domains:
+        raise ValueError("a random suite needs at least one domain")
     master = random.Random(seed)
     out: list[Labeled] = []
     for idx in range(count):
@@ -492,6 +484,9 @@ def build_table_manifest(per_block: int = 200, seed: int = 20240801) -> dict:
 def load_manifest(source: Union[str, dict]) -> dict[str, list[Labeled]]:
     """Parse a manifest (JSON text or dict) into labeled instances per block."""
     obj = json.loads(source) if isinstance(source, str) else source
-    if "blocks" not in obj or not isinstance(obj["blocks"], dict):
+    if not isinstance(obj, dict) or not isinstance(obj.get("blocks"), dict):
         raise ValueError("manifest must have a 'blocks' object")
+    for name, entries in obj["blocks"].items():
+        if not isinstance(entries, list):
+            raise ValueError(f"manifest block {name!r} must be a list of entries, got {entries!r}")
     return {name: expand_entries(entries) for name, entries in obj["blocks"].items()}

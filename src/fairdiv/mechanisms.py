@@ -47,6 +47,7 @@ from .core import (
     Value,
     as_value,
     check_work_bound,
+    current_work_bound,
     integer_rows,
     marginal_counts,
 )
@@ -326,7 +327,7 @@ def _share(weight: int, ways: int) -> int:
 
 
 def _expand(rule: FeasibilityRule, instance: Instance, bids: Optional[BidProfile],
-            max_nodes: Optional[int], keep_owners: bool,
+            keep_owners: bool,
             ) -> tuple[dict[tuple[tuple, Hashable], int], Optional[ItemCounts], int]:
     """The expansion engine: one forward pass over the items, layer by layer.
 
@@ -343,7 +344,7 @@ def _expand(rule: FeasibilityRule, instance: Instance, bids: Optional[BidProfile
     is added into ``counts[i][j]``; the returned counts are None otherwise.
     Returns (last layer, counts, L). Raises WorkBoundExceeded before
     `begin` runs when the product of the c_j, a bound on the tree's leaves,
-    exceeds ``max_nodes``, and RuleInvariantError when a feasible set is
+    exceeds the `work_bound`, and RuleInvariantError when a feasible set is
     larger than c_j.
     """
     n, m = instance.n, instance.m
@@ -351,7 +352,7 @@ def _expand(rule: FeasibilityRule, instance: Instance, bids: Optional[BidProfile
     positives = _positive_bidders(bids)
     candidates = rule.candidates(bids, positives)
     widths = [max(1, len(pick)) for pick in candidates]
-    check_work_bound(widths, max_nodes, f"{rule.name}: expansion tree leaves")
+    check_work_bound(widths, f"{rule.name}: expansion tree leaves")
     scale = math.prod(math.lcm(*range(1, width + 1)) for width in widths)
     tally = rule.tally(bids)
     state = rule.begin(bids, candidates, tally)
@@ -397,22 +398,21 @@ def _expand(rule: FeasibilityRule, instance: Instance, bids: Optional[BidProfile
 
 
 def allocate(rule: FeasibilityRule, instance: Instance,
-             bids: Optional[BidProfile] = None, *,
-             max_nodes: Optional[int] = None) -> AllocationDistribution:
+             bids: Optional[BidProfile] = None) -> AllocationDistribution:
     """Run one rule over the whole horizon and expand every random choice.
 
     Returns the exact distribution over complete allocations: the engine's
     layered pass keeps every owner prefix, so each node of its last layer
     is one allocation, and the node's int weight over the scale L goes to
     the distribution as it is. Raises WorkBoundExceeded when the expansion
-    tree could exceed ``max_nodes`` leaves.
+    tree could have more leaves than the `work_bound`.
     """
-    layer, _, scale = _expand(rule, instance, bids, max_nodes, keep_owners=True)
+    layer, _, scale = _expand(rule, instance, bids, keep_owners=True)
     return AllocationDistribution._trusted(instance, {o: w for (o, _), w in layer.items()}, scale)
 
 
-def orp_distribution(instance: Instance, bids: Optional[BidProfile] = None, *,
-                     max_nodes: Optional[int] = None) -> AllocationDistribution:
+def orp_distribution(instance: Instance,
+                     bids: Optional[BidProfile] = None) -> AllocationDistribution:
     """Uniform mixture of serial dictatorships over all priority orders.
 
     Exact by construction: every one of the n! orders is run, and each
@@ -420,7 +420,7 @@ def orp_distribution(instance: Instance, bids: Optional[BidProfile] = None, *,
     """
     positives = _positive_bidders(BidProfile.for_instance(instance, bids))
     n = instance.n
-    check_work_bound(range(1, n + 1), max_nodes, "orp: priority orders")
+    check_work_bound(range(1, n + 1), "orp: priority orders")
     outcomes: dict[tuple, int] = {}
     for perm in permutations(range(n)):
         key = tuple(next((i for i in perm if i in pos), None) for pos in positives)
@@ -471,48 +471,47 @@ class Mechanism:
     """
 
     name: str
-    runner: Callable[[Instance, Optional[BidProfile], Optional[int]], AllocationDistribution]
-    counter: Callable[[Instance, Optional[BidProfile], Optional[int]], tuple[ItemCounts, int]]
+    runner: Callable[[Instance, Optional[BidProfile]], AllocationDistribution]
+    counter: Callable[[Instance, Optional[BidProfile]], tuple[ItemCounts, int]]
     view: str = "bids"
-    # (n, view key, max_nodes) -> (counts, L), filled by `item_counts`
+    # (n, view key, work bound) -> (counts, L), filled by `item_counts`
     _counted: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.view not in VIEWS:
             raise ValueError(f"unknown bid view {self.view!r}; expected one of {', '.join(VIEWS)}")
 
-    def run(self, instance: Instance, bids: Optional[BidProfile] = None, *,
-            max_nodes: Optional[int] = None) -> AllocationDistribution:
-        return self.runner(instance, bids, max_nodes)
+    def run(self, instance: Instance,
+            bids: Optional[BidProfile] = None) -> AllocationDistribution:
+        return self.runner(instance, bids)
 
-    def item_counts(self, instance: Instance, bids: Optional[BidProfile] = None, *,
-                    max_nodes: Optional[int] = None) -> tuple[ItemCounts, int]:
+    def item_counts(self, instance: Instance,
+                    bids: Optional[BidProfile] = None) -> tuple[ItemCounts, int]:
         """Item marginals of `run`'s distribution as (counts, L): agent i
         gets item j with probability ``counts[i][j] / L``. No distribution
         is built, and the work bound is the one `run` applies.
 
-        ``counter`` runs once per agent count, bid view and work bound:
+        ``counter`` runs once per agent count, bid view and `work_bound`:
         later profiles with the same ones reuse its answer, as the view
         contract allows, in fresh lists. Exceptions are not kept, so a
         bound trips on every call.
         """
         bids = BidProfile.for_instance(instance, bids)
-        key = (instance.n, view_key(self.view, bids.bids), max_nodes)
+        key = (instance.n, view_key(self.view, bids.bids), current_work_bound())
         known = self._counted.get(key)
         if known is None:
-            known = self._counted[key] = self.counter(instance, bids, max_nodes)
+            known = self._counted[key] = self.counter(instance, bids)
         counts, scale = known
         return [list(row) for row in counts], scale
 
 
 def _rule_mechanism(name: str, make_rule: Callable[[Instance], FeasibilityRule],
                     view: str) -> Mechanism:
-    def run(instance, bids, max_nodes):
-        return allocate(make_rule(instance), instance, bids, max_nodes=max_nodes)
+    def run(instance, bids):
+        return allocate(make_rule(instance), instance, bids)
 
-    def count(instance, bids, max_nodes):
-        _, counts, scale = _expand(make_rule(instance), instance, bids, max_nodes,
-                                   keep_owners=False)
+    def count(instance, bids):
+        _, counts, scale = _expand(make_rule(instance), instance, bids, keep_owners=False)
         return counts, scale
 
     return Mechanism(name, run, count, view)
@@ -533,8 +532,8 @@ def osd(order: PriorityOrder | Sequence[int] | None = None) -> Mechanism:
 
 
 def orp() -> Mechanism:
-    def run(instance, bids, max_nodes):
-        return orp_distribution(instance, bids, max_nodes=max_nodes)
+    def run(instance, bids):
+        return orp_distribution(instance, bids)
 
     return Mechanism("orp", run, lambda *args: marginal_counts(run(*args)), "signs")
 

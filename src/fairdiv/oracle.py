@@ -48,8 +48,8 @@ def utility_vector(alloc: Allocation, values: Sequence[Sequence[Value]]) -> tupl
     return tuple(as_value(Fraction(x, scale)) for x in vector)
 
 
-def enumerate_allocations(instance: Instance, bids: Optional[BidProfile] = None, *,
-                          max_nodes: Optional[int] = None) -> list[Allocation]:
+def enumerate_allocations(instance: Instance,
+                          bids: Optional[BidProfile] = None) -> list[Allocation]:
     """All non-wasteful allocations of the instance's items.
 
     Each item goes to one of its positive bidders; an item with an all-zero
@@ -58,8 +58,7 @@ def enumerate_allocations(instance: Instance, bids: Optional[BidProfile] = None,
     """
     bids = BidProfile.for_instance(instance, bids)
     positives = [tuple(i for i, x in enumerate(column) if x > 0) for column in zip(*bids.bids)]
-    check_work_bound((len(pos) or 1 for pos in positives), max_nodes,
-                     "enumerated allocations")
+    check_work_bound((len(pos) or 1 for pos in positives), "enumerated allocations")
     # product yields canonical order already: each item's options are in
     # ascending agent order, and None is only ever an item's sole option
     return [Allocation._trusted(o) for o in product(*(pos or (None,) for pos in positives))]
@@ -80,8 +79,8 @@ def _scaled_vectors(allocs: Sequence[Allocation], values: Sequence[Sequence[Valu
     return vectors, scale
 
 
-def pareto_frontier(instance: Instance, bids: Optional[BidProfile] = None, *,
-                    max_nodes: Optional[int] = None) -> list[Allocation]:
+def pareto_frontier(instance: Instance,
+                    bids: Optional[BidProfile] = None) -> list[Allocation]:
     """All Pareto efficient non-wasteful allocations, canonically ordered.
 
     The distinct integer vectors are tested in descending order of sum,
@@ -90,7 +89,7 @@ def pareto_frontier(instance: Instance, bids: Optional[BidProfile] = None, *,
     dominated by an earlier maximum.
     """
     values = instance.utilities if bids is None else bids.bids
-    allocs = enumerate_allocations(instance, bids, max_nodes=max_nodes)
+    allocs = enumerate_allocations(instance, bids)
     vectors, _ = _scaled_vectors(allocs, values)
     maxima: list[tuple[int, ...]] = []
     for v in sorted(set(vectors), key=sum, reverse=True):
@@ -282,8 +281,7 @@ def _simplex_maximize(c: Sequence[Value],
 
 
 def pea_solution(own_expected: Sequence[Value], instance: Instance,
-                 bids: Optional[BidProfile] = None, *,
-                 max_nodes: Optional[int] = None) -> LPSolution:
+                 bids: Optional[BidProfile] = None) -> LPSolution:
     """Best Pareto improvement over an expected-utility point, if any.
 
     Solves: maximize the total surplus of a lottery over non-wasteful
@@ -297,7 +295,7 @@ def pea_solution(own_expected: Sequence[Value], instance: Instance,
     point = [as_value(x) for x in own_expected]
     if len(point) != n:
         raise ValueError("expected one utility per agent")
-    allocs = enumerate_allocations(instance, bids, max_nodes=max_nodes)
+    allocs = enumerate_allocations(instance, bids)
     scaled, scale = _scaled_vectors(allocs, values)
     groups: dict[tuple[int, ...], Allocation] = {}
     for v, a in zip(scaled, allocs):
@@ -320,10 +318,3 @@ def pea_solution(own_expected: Sequence[Value], instance: Instance,
     gains = tuple(x[g + i] for i in range(n))
     return LPSolution(value, weights, gains)
 
-
-def is_pea(own_expected: Sequence[Value], instance: Instance,
-           bids: Optional[BidProfile] = None, *,
-           max_nodes: Optional[int] = None) -> bool:
-    """Is the expected-utility point Pareto efficient over all lotteries?"""
-    sol = pea_solution(own_expected, instance, bids, max_nodes=max_nodes)
-    return sol.objective == 0

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
+    DEFAULT_MAX_NODES,
     BidProfile,
     Instance,
     ItemCounts,
@@ -23,6 +24,7 @@ from .core import (
     check_work_bound,
     format_value,
     integer_rows,
+    work_bound,
 )
 from .mechanisms import Mechanism, RuleInvariantError
 
@@ -131,7 +133,7 @@ def _view_menu(view: str, grid: BidGrid, instance: Instance,
 
 def _first_lie(mech: Mechanism, instance: Instance, agent: int,
                menus: Sequence[tuple[Value, ...]], base: tuple[ItemCounts, int],
-               liar: tuple[Sequence[int], int], max_nodes: Optional[int],
+               liar: tuple[Sequence[int], int],
                ) -> Optional[tuple[tuple[Value, ...], Value, Value]]:
     """The first row of ``menus``' product, other than ``agent``'s sincere
     row, that raises the agent's expected true utility in ``instance`` above
@@ -162,21 +164,21 @@ def _first_lie(mech: Mechanism, instance: Instance, agent: int,
         if row != u[agent]:
             # grid bids are exact and nonnegative
             bids = BidProfile._validated(head + (row,) + tail)
-            got, got_scale = mech.item_counts(instance, bids, max_nodes=max_nodes)
+            got, got_scale = mech.item_counts(instance, bids)
             total = sum(map(operator.mul, got[agent], weights))
             if total * scale > baseline * got_scale:
                 if mech.view != "bids":
-                    _recount(mech, instance, bids, max_nodes, got, got_scale)
+                    _recount(mech, instance, bids, got, got_scale)
                 return (row, as_value(Fraction(baseline, scale * d)),
                         as_value(Fraction(total, got_scale * d)))
     return None
 
 
 def _recount(mech: Mechanism, instance: Instance, bids: BidProfile,
-             max_nodes: Optional[int], counts: ItemCounts, scale: int) -> None:
+             counts: ItemCounts, scale: int) -> None:
     """Raise RuleInvariantError unless ``mech.counter`` gives ``bids`` the
     item marginals ``counts / scale``."""
-    again, again_scale = mech.counter(instance, bids, max_nodes)
+    again, again_scale = mech.counter(instance, bids)
     if any(x * again_scale != y * scale
            for row, again_row in zip(counts, again) for x, y in zip(row, again_row)):
         raise RuleInvariantError(
@@ -187,8 +189,7 @@ def _recount(mech: Mechanism, instance: Instance, bids: BidProfile,
 
 
 def sp_falsify(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = None, *,
-               max_candidates: Optional[int] = None,
-               max_nodes: Optional[int] = None) -> Optional[Deviation]:
+               max_candidates: Optional[int] = None) -> Optional[Deviation]:
     """Search whole-row lies for one that raises the liar's expected utility.
 
     Agents are tried in ascending order and rows in lexicographic grid
@@ -201,20 +202,21 @@ def sp_falsify(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = No
     engine once per bid view, so rows with a seen view cost none.
     """
     grid = grid or BidGrid()
-    base = mech.item_counts(instance, max_nodes=max_nodes)
+    base = mech.item_counts(instance)
     scaled, d = integer_rows(instance.utilities)
     for agent in range(instance.n):
         menus = [_view_menu(mech.view, grid, instance, agent, j) for j in range(instance.m)]
-        check_work_bound(map(len, menus), max_candidates,
-                         f"candidate rows for agent {agent + 1}")
-        found = _first_lie(mech, instance, agent, menus, base, (scaled[agent], d), max_nodes)
+        # the rows have their own bound, in place of the node bound for this check
+        with work_bound(DEFAULT_MAX_NODES if max_candidates is None else max_candidates):
+            check_work_bound(map(len, menus), f"candidate rows for agent {agent + 1}")
+        found = _first_lie(mech, instance, agent, menus, base, (scaled[agent], d))
         if found is not None:
             return Deviation(agent, found[0], None, found[1], found[2])
     return None
 
 
-def osp_falsify(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = None, *,
-                max_nodes: Optional[int] = None) -> Optional[Deviation]:
+def osp_falsify(mech: Mechanism, instance: Instance,
+                grid: Optional[BidGrid] = None) -> Optional[Deviation]:
     """Search single-item lies judged at the moment the item is decided.
 
     The liar bids sincerely before item j, misreports item j only, and the
@@ -229,12 +231,11 @@ def osp_falsify(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = N
     scaled, d = integer_rows(u)
     for item in range(instance.m):
         prefix = instance.prefix(item + 1)
-        base = mech.item_counts(prefix, max_nodes=max_nodes)
+        base = mech.item_counts(prefix)
         for agent in range(instance.n):
             menus = [(x,) for x in u[agent][:item]]
             menus.append(_view_menu(mech.view, grid, instance, agent, item))
-            found = _first_lie(mech, prefix, agent, menus, base,
-                               (scaled[agent][:item + 1], d), max_nodes)
+            found = _first_lie(mech, prefix, agent, menus, base, (scaled[agent][:item + 1], d))
             if found is not None:
                 row = found[0] + u[agent][item + 1:]
                 return Deviation(agent, row, item, found[1], found[2])
@@ -252,8 +253,8 @@ def _cell_changes(instance: Instance, grid: BidGrid, cells: Iterable[tuple[int, 
                 yield agent, item, bid, sincere.replace_bid(agent, item, bid)
 
 
-def step_probe(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = None, *,
-               max_nodes: Optional[int] = None) -> Optional[ProbeWitness]:
+def step_probe(mech: Mechanism, instance: Instance,
+               grid: Optional[BidGrid] = None) -> Optional[ProbeWitness]:
     """Witness that outcomes depend on a positive bid's size, not just its sign.
 
     Replaces one positive sincere bid with another positive grid value and
@@ -261,11 +262,11 @@ def step_probe(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = No
     Raises RuleInvariantError when it finds one for a mechanism declared
     to read only bid signs.
     """
-    base = mech.run(instance, max_nodes=max_nodes)
+    base = mech.run(instance)
     cells = [(agent, item) for agent, row in enumerate(instance.utilities)
              for item, x in enumerate(row) if x > 0]
     for agent, item, bid, bids in _cell_changes(instance, grid or BidGrid(), cells):
-        if bid > 0 and mech.run(instance, bids, max_nodes=max_nodes) != base:
+        if bid > 0 and mech.run(instance, bids) != base:
             if mech.view == "signs":
                 raise RuleInvariantError(
                     f"{mech.name}: declared to read only bid signs, but bid "
@@ -277,8 +278,7 @@ def step_probe(mech: Mechanism, instance: Instance, grid: Optional[BidGrid] = No
 
 
 def memoryless_probe(mech: Mechanism, instance: Instance,
-                     grid: Optional[BidGrid] = None, *,
-                     max_nodes: Optional[int] = None) -> Optional[ProbeWitness]:
+                     grid: Optional[BidGrid] = None) -> Optional[ProbeWitness]:
     """Witness that an earlier bid steers a later item's probabilities.
 
     Perturbs one earlier cell at a time and compares the marginal
@@ -287,10 +287,10 @@ def memoryless_probe(mech: Mechanism, instance: Instance,
     compared by cross-multiplying: c / L == c' / L' exactly when
     c * L' == c' * L.
     """
-    base, scale = mech.item_counts(instance, max_nodes=max_nodes)
+    base, scale = mech.item_counts(instance)
     cells = [(agent, item) for item in range(instance.m - 1) for agent in range(instance.n)]
     for agent, item, bid, bids in _cell_changes(instance, grid or BidGrid(), cells):
-        p, p_scale = mech.item_counts(instance, bids, max_nodes=max_nodes)
+        p, p_scale = mech.item_counts(instance, bids)
         for later in range(item + 1, instance.m):
             if any(p[i][later] * scale != base[i][later] * p_scale
                    for i in range(instance.n)):
@@ -332,15 +332,14 @@ class MechanismProfile:
         }
 
 
-def classify(mech: Mechanism, suite: Sequence[tuple[str, Instance]], *,
-             max_nodes: Optional[int] = None) -> MechanismProfile:
+def classify(mech: Mechanism, suite: Sequence[tuple[str, Instance]]) -> MechanismProfile:
     """Profile a mechanism on a suite: probes plus the row-lie falsifier."""
     searches = (step_probe, memoryless_probe, sp_falsify)
     found: list = [None] * len(searches)
     for label, inst in suite:
         for k, search in enumerate(searches):
             if found[k] is None:
-                w = search(mech, inst, max_nodes=max_nodes)
+                w = search(mech, inst)
                 if w is not None:
                     found[k] = (label, w)
     step_w, memoryless_w, sp_w = found

@@ -48,6 +48,7 @@ from fairdiv import (
     random_suite,
     utility_vector,
     validate_domain,
+    work_bound,
     worked_example,
 )
 from fairdiv.axioms import _supporting_weights
@@ -330,10 +331,10 @@ def dominates(va, vb):
     return va != vb and all(x >= y for x, y in zip(va, vb))
 
 
-def ref_pep(dist, utilities=None, *, max_nodes=None):
+def ref_pep(dist, utilities=None):
     u = _ref_resolve(dist, utilities)
     bids = None if utilities is None else BidProfile(u)
-    candidates = enumerate_allocations(dist.instance, bids, max_nodes=max_nodes)
+    candidates = enumerate_allocations(dist.instance, bids)
     rivals = [(rival, utility_vector(rival, u)) for rival in candidates]
     for alloc, _ in dist:
         own = utility_vector(alloc, u)
@@ -343,11 +344,11 @@ def ref_pep(dist, utilities=None, *, max_nodes=None):
     return AxiomVerdict("pep", True, None, None)
 
 
-def ref_pea(dist, utilities=None, *, max_nodes=None):
+def ref_pea(dist, utilities=None):
     u = _ref_resolve(dist, utilities)
     bids = None if utilities is None else BidProfile(u)
     own = expected_utilities(marginals(dist), u).own()
-    sol = pea_solution(own, dist.instance, bids, max_nodes=max_nodes)
+    sol = pea_solution(own, dist.instance, bids)
     if sol.objective == 0:
         return AxiomVerdict("pea", True, 0, None)
     return AxiomVerdict("pea", False, sol.objective, ImprovementWitness(sol))
@@ -360,15 +361,14 @@ def _outcome(check, *args, **kwargs):
         return type(exc).__name__, str(exc)
 
 
-def _assert_checkers_match(dist, utilities=None, *, max_nodes=None):
+def _assert_checkers_match(dist, utilities=None):
     """Every checker against its reference on one distribution; returns
     how many verdicts fail, so a caller can tell the sweep found some."""
     pairs = [(check_efp, ref_efp), (check_sefp, ref_sefp), (check_efa, ref_efa),
              (check_sefa, ref_sefa), (check_prefix_efa, ref_prefix_efa)]
     calls = [(new, ref, {}) for new, ref in pairs]
     calls += [(check_envy_bounded, ref_envy_bounded, {"bound": b}) for b in (1, Fraction(1, 2))]
-    calls += [(check, ref, {"max_nodes": max_nodes})
-              for check, ref in ((check_pep, ref_pep), (check_pea, ref_pea))]
+    calls += [(check_pep, ref_pep, {}), (check_pea, ref_pea, {})]
     failing = 0
     for new, ref, kwargs in calls:
         got = _outcome(new, dist, utilities, **kwargs)
@@ -441,8 +441,9 @@ def test_checkers_match_references_where_errors_are_raised():
         inst = Instance(_fractional_matrix(rng, n, m))
         dist = like().run(inst)
         # pep's and pea's enumeration bound trips at 3 allocations
-        _assert_checkers_match(dist, max_nodes=3)
-        pep = _outcome(check_pep, dist, max_nodes=3)
+        with work_bound(3):
+            _assert_checkers_match(dist)
+            pep = _outcome(check_pep, dist)
         # negative auditor values are rejected up front, by every checker alike
         signed = tuple(tuple(x - 1 for x in row) for row in _fractional_matrix(rng, n, m))
         _assert_checkers_match(dist, signed)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from fairdiv import WorkBoundExceeded, load_manifest, osd, worked_example
+from fairdiv import WorkBoundExceeded, load_manifest, osd, work_bound, worked_example
 from fairdiv.claims import check_axiom, table_report, theorem_checks
 from fairdiv.cli import main
 
@@ -38,17 +38,20 @@ def test_table_report_is_what_the_command_prints(capsys, tmp_path):
 def test_theorem_checks_are_what_the_command_prints(capsys):
     code, printed = cli_json(capsys, "theorems", "--json")
     assert code == 0
-    assert theorem_checks(20240803, None) == printed["checks"]
+    assert theorem_checks(20240803) == printed["checks"]
 
 
 def test_axiom_dispatch_applies_the_work_bound():
     inst, _ = worked_example(1)
-    dist = osd().run(inst, max_nodes=1)
+    with work_bound(1):
+        dist = osd().run(inst)
     for axiom in ("pep", "pea"):
-        with pytest.raises(WorkBoundExceeded):
-            check_axiom(axiom, dist, max_nodes=1)
-        assert check_axiom(axiom, dist, max_nodes=4).holds
-    assert not check_axiom("efp", dist, max_nodes=1).holds
+        with pytest.raises(WorkBoundExceeded), work_bound(1):
+            check_axiom(axiom, dist)
+        with work_bound(4):
+            assert check_axiom(axiom, dist).holds
+    with work_bound(1):
+        assert not check_axiom("efp", dist).holds
     # the bound is envy-bounded's alone; befp keeps to 0/1 utilities
     assert check_axiom("envy-bounded", dist, bound=3).holds
     assert not check_axiom("envy-bounded", dist, bound=2).holds

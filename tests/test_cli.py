@@ -451,6 +451,17 @@ def test_work_bounds_below_one_are_usage_errors(capsys, monkeypatch):
     assert "FAIRDIV_MAX_NODES must be an integer, got 'abc'" in capsys.readouterr().err
 
 
+def test_the_work_bound_variable_is_read_by_every_bounded_command(capsys, monkeypatch):
+    # main reads the bound once for each command that takes --max-nodes,
+    # so a bad value stops table --write-manifest too; gen takes no bound
+    monkeypatch.setenv("FAIRDIV_MAX_NODES", "abc")
+    assert _run_err(capsys, "table", "--write-manifest", "-") == (
+        3, "", "fairdiv: error: FAIRDIV_MAX_NODES must be an integer, got 'abc'\n")
+    code, out, _ = _run_err(capsys, "gen", "--domain", "binary", "-n", "2", "-m", "2",
+                            "--seed", "1")
+    assert code == 0 and out.startswith("# binary-n2m2-s1\n")
+
+
 
 def _run_err(capsys, *argv):
     """Exit code, stdout and stderr of one in-process run."""
@@ -466,12 +477,32 @@ def test_malformed_manifest_entries_are_usage_errors(capsys, tmp_path):
             ({"random": {"count": 2, "seed": 1, "domain": ["binary"]}},
              "unexpected keyword argument 'domain'"),
             ({"random": {"count": 2}}, "missing key 'seed'"),
-            ({"utilities": [[0.5, 1], [1, 1]]}, "expected int or Fraction, got float")):
+            ({"utilities": [[0.5, 1], [1, 1]]}, "expected int or Fraction, got float"),
+            ({"random": {"count": 2, "seed": 1, "domains": []}},
+             "a random suite needs at least one domain")):
         path.write_text(json.dumps({"blocks": {"general": [entry]}}), encoding="utf-8")
         code, out, err = _run_err(capsys, "table", "--manifest", str(path), "--json")
         assert (code, out) == (3, "")
         assert err.startswith(f"fairdiv: error: bad manifest entry {entry!r}: ")
         assert reason in err and err.count("\n") == 1
+
+
+def test_malformed_manifests_are_usage_errors(capsys, tmp_path, monkeypatch):
+    # the first two once crashed with a traceback and exit 1, and a
+    # misspelled block was skipped without a word
+    path = tmp_path / "m.json"
+    for manifest, message in (
+            (5, "manifest must have a 'blocks' object"),
+            ({"blocks": {"general": 5}},
+             "manifest block 'general' must be a list of entries, got 5"),
+            ({"blocks": {"general": [{"example": 1}], "genral": [{"example": 1}]}},
+             "unknown manifest block 'genral'; expected one of general, identical, binary")):
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert _run_err(capsys, "table", "--manifest", str(path), "--json") == (
+            3, "", f"fairdiv: error: {message}\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("5\n"))
+    assert _run_err(capsys, "table", "--manifest", "-") == (
+        3, "", "fairdiv: error: manifest must have a 'blocks' object\n")
 
 
 def test_manifest_integers_are_not_truncated(capsys, tmp_path):

@@ -31,8 +31,9 @@ from fairdiv import (
     osd,
     pea_solution,
     sp_falsify,
+    work_bound,
 )
-from fairdiv.core import check_work_bound, marginal_counts
+from fairdiv.core import DEFAULT_MAX_NODES, check_work_bound, current_work_bound, marginal_counts
 
 
 def test_as_value_normalizes_integral_fractions():
@@ -161,7 +162,8 @@ def test_distribution_validates_probabilities():
     ok = AllocationDistribution.from_map(
         inst, {Allocation((0, 0)): Fraction(1, 2), Allocation((1, 1)): Fraction(1, 2)}
     )
-    assert ok.as_dict() == {Allocation((0, 0)): Fraction(1, 2), Allocation((1, 1)): Fraction(1, 2)}
+    assert dict(ok.entries) == {Allocation((0, 0)): Fraction(1, 2),
+                                Allocation((1, 1)): Fraction(1, 2)}
     with pytest.raises(ValueError):
         AllocationDistribution.from_map(inst, {Allocation((0, 0)): Fraction(1, 2)})
     with pytest.raises(ValueError):
@@ -203,7 +205,7 @@ def test_distribution_accepts_mixed_denominators_summing_to_one():
         Allocation((0, 1)): Fraction(1, 6),
         Allocation((1, 1)): Fraction(1, 2),
     })
-    assert dist.as_dict()[Allocation((0, 1))] == Fraction(1, 6)
+    assert dict(dist.entries)[Allocation((0, 1))] == Fraction(1, 6)
 
 
 def test_distribution_support_is_canonically_ordered():
@@ -284,10 +286,11 @@ def test_distribution_mix_and_prefix():
     d1 = AllocationDistribution.from_map(inst, {Allocation((0, 0)): 1})
     d2 = AllocationDistribution.from_map(inst, {Allocation((1, 1)): 1})
     mixed = AllocationDistribution.mix([(d1, Fraction(1, 3)), (d2, Fraction(2, 3))])
-    assert mixed.as_dict() == {Allocation((0, 0)): Fraction(1, 3),
+    assert dict(mixed.entries) == {Allocation((0, 0)): Fraction(1, 3),
                                Allocation((1, 1)): Fraction(2, 3)}
     head = mixed.prefix(1)
-    assert head.as_dict() == {Allocation((0,)): Fraction(1, 3), Allocation((1,)): Fraction(2, 3)}
+    assert dict(head.entries) == {Allocation((0,)): Fraction(1, 3),
+                                  Allocation((1,)): Fraction(2, 3)}
     with pytest.raises(ValueError):
         AllocationDistribution.mix([])
     with pytest.raises(ValueError):
@@ -420,10 +423,15 @@ _THREE_ITEMS = Instance(((1, 1, 1), (1, 1, 1)))
 # Each bounded run with its exact work: like's 2*2*2 tree leaves, orp's 3!
 # priority orders, pep's 2*2*2 enumerated allocations and maximum-like's
 # 3*3 view-menu rows for one agent.
+def _bounded(bound, call, *args):
+    with work_bound(bound):
+        return call(*args)
+
+
 _BOUNDED_RUNS = {
-    "like leaves": (8, lambda bound: like().run(_THREE_ITEMS, max_nodes=bound)),
-    "orp orders": (6, lambda bound: orp().run(Instance(((1,), (1,), (1,))), max_nodes=bound)),
-    "pep allocations": (8, lambda bound: check_pep(osd().run(_THREE_ITEMS), max_nodes=bound)),
+    "like leaves": (8, lambda bound: _bounded(bound, like().run, _THREE_ITEMS)),
+    "orp orders": (6, lambda bound: _bounded(bound, orp().run, Instance(((1,), (1,), (1,))))),
+    "pep allocations": (8, lambda bound: _bounded(bound, check_pep, osd().run(_THREE_ITEMS))),
     "sp rows": (9, lambda bound: sp_falsify(maximum_like(), Instance(((1, 2), (2, 1))),
                                             max_candidates=bound)),
 }
@@ -441,11 +449,31 @@ def test_work_bounds_below_one_are_errors():
     # a bound that admits no work is a caller error, not an inconclusive run
     for bound in (0, -1):
         with pytest.raises(ValueError, match=f"^like: work bound must be at least 1, got {bound}$"):
-            check_work_bound((), bound, "like")
+            with work_bound(bound):
+                check_work_bound((), "like")
         for _, call in _BOUNDED_RUNS.values():
             with pytest.raises(ValueError, match=f"work bound must be at least 1, got {bound}$"):
                 call(bound)
-    check_work_bound((), 1, "like")
+    with work_bound(1):
+        check_work_bound((), "like")
+
+
+def test_work_bound_nests_and_restores_the_outer_bound():
+    assert current_work_bound() == DEFAULT_MAX_NODES
+    with work_bound(8):
+        with work_bound(4):
+            assert current_work_bound() == 4
+            with pytest.raises(WorkBoundExceeded, match="may exceed 4$"):
+                check_work_bound((2, 2, 2), "like")
+        assert current_work_bound() == 8
+        check_work_bound((2, 2, 2), "like")
+        with pytest.raises(WorkBoundExceeded), work_bound(1):
+            like().run(_THREE_ITEMS)
+        # restored after the block raised, and a nested bound may be larger
+        assert current_work_bound() == 8
+        with work_bound(16):
+            check_work_bound((2, 2, 2, 2), "like")
+    assert current_work_bound() == DEFAULT_MAX_NODES
 
 
 _SWAP = Instance(((1, 2), (2, 1)))
@@ -488,7 +516,7 @@ def test_probabilities_and_weights_are_exact():
     with pytest.raises(TypeError, match="^expected int or Fraction, got float$"):
         AllocationDistribution.mix([(d1, 0.1), (d2, 0.9)])
     mixed = AllocationDistribution.mix([(d1, Fraction(1, 10)), (d2, Fraction(9, 10))])
-    assert mixed.as_dict() == {_A((0, 0)): Fraction(1, 10), _A((1, 1)): Fraction(9, 10)}
+    assert dict(mixed.entries) == {_A((0, 0)): Fraction(1, 10), _A((1, 1)): Fraction(9, 10)}
 
 
 def test_priority_orders_take_ints_only():
@@ -501,7 +529,7 @@ def test_priority_orders_take_ints_only():
     with pytest.raises(ValueError, match="^not a permutation of 0..1: "):
         PriorityOrder.from_one_based((2.0, 1.5))
     assert PriorityOrder.from_one_based((2, 1)).order == (1, 0)
-    assert osd(PriorityOrder.from_one_based((2, 1))).run(_SWAP).as_dict() == {_A((1, 1)): 1}
+    assert dict(osd(PriorityOrder.from_one_based((2, 1))).run(_SWAP).entries) == {_A((1, 1)): 1}
 
 
 def test_expected_utilities_check_the_whole_matrix():

@@ -89,3 +89,18 @@ def test_the_pea_certificate_reaches_no_oracle_code():
              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node is not helper}
     used = {node.id for node in ast.walk(helper) if isinstance(node, ast.Name)}
     assert used & ({name for _, name in imported} | local) == set()
+
+
+
+def test_no_function_takes_a_work_bound_parameter():
+    # the work bound is one scoped setting; only the setting itself,
+    # `core.work_bound`, takes it, and no layer hands it on
+    taking = []
+    for module in MODULES:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                if "max_nodes" in {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}:
+                    taking.append((module, getattr(node, "name", "<lambda>")))
+    assert taking == [("core", "work_bound")]

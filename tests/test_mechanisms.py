@@ -12,7 +12,6 @@ from fairdiv import (
     AllocationDistribution,
     BidProfile,
     ConstructedMechanism,
-    DEFAULT_MAX_NODES,
     DomainSpec,
     Instance,
     MECHANISM_NAMES,
@@ -33,9 +32,10 @@ from fairdiv import (
     pareto_frontier,
     pareto_levels,
     pareto_like,
+    work_bound,
 )
 from fairdiv import mechanisms
-from fairdiv.core import marginal_counts
+from fairdiv.core import current_work_bound, marginal_counts
 from fairdiv.mechanisms import (
     BalancedLikeRule,
     FeasibilityRule,
@@ -159,26 +159,28 @@ def test_allocate_rejects_mismatched_bids():
 
 def test_work_bound_on_wide_trees():
     inst = Instance(((1, 1, 1), (1, 1, 1)))
-    with pytest.raises(WorkBoundExceeded):
-        like().run(inst, max_nodes=4)
-    assert len(like().run(inst, max_nodes=8).support()) == 8
+    with pytest.raises(WorkBoundExceeded), work_bound(4):
+        like().run(inst)
+    with work_bound(8):
+        assert len(like().run(inst).support()) == 8
 
 
 def test_maximum_like_work_bound_counts_top_bidders():
     # three positive bidders per item, but one top bidder
     inst = Instance(((3, 1), (1, 3), (2, 2)))
-    assert owners_map(maximum_like().run(inst, max_nodes=1)) == {(0, 1): Fraction(1)}
-    assert maximum_like().item_counts(inst, max_nodes=1) == ([[1, 0], [0, 1], [0, 0]], 1)
-    with pytest.raises(WorkBoundExceeded):
-        like().run(inst, max_nodes=1)
-    with pytest.raises(WorkBoundExceeded):
-        like().item_counts(inst, max_nodes=1)
+    with work_bound(1):
+        assert owners_map(maximum_like().run(inst)) == {(0, 1): Fraction(1)}
+        assert maximum_like().item_counts(inst) == ([[1, 0], [0, 1], [0, 0]], 1)
+        with pytest.raises(WorkBoundExceeded):
+            like().run(inst)
+        with pytest.raises(WorkBoundExceeded):
+            like().item_counts(inst)
 
 
 def test_orp_work_bound_counts_priority_orders():
     inst = Instance(tuple((1,) for _ in range(6)))
-    with pytest.raises(WorkBoundExceeded):
-        orp().run(inst, max_nodes=100)
+    with pytest.raises(WorkBoundExceeded), work_bound(100):
+        orp().run(inst)
 
 
 def test_orp_matches_explicit_dictatorship_mixture():
@@ -573,7 +575,7 @@ def _walk_key(rule, sizes, totals):
     return ()
 
 
-def _reference_allocate(rule, instance, bids=None, *, max_nodes=None):
+def _reference_allocate(rule, instance, bids=None):
     """The recursive tree walk that `allocate` ran before the layered pass,
     kept as the reference path. Each leaf adds Fraction(1, den) to its
     allocation. The walk keeps its own bundle sizes and totals of the
@@ -583,7 +585,7 @@ def _reference_allocate(rule, instance, bids=None, *, max_nodes=None):
         bids = BidProfile.sincere(instance)
     if not bids.matches(instance):
         raise ValueError("bid profile shape differs from instance")
-    bound = DEFAULT_MAX_NODES if max_nodes is None else max_nodes
+    bound = current_work_bound()
     positives = _positive_bidders(bids)
     candidates = rule.candidates(bids, positives)
     width = 1
@@ -817,12 +819,13 @@ def test_pareto_like_ignores_one_positive_bid_scale():
 
 def test_item_counts_keep_the_work_bound():
     inst = Instance(((1, 1, 1), (1, 1, 1)))
-    with pytest.raises(WorkBoundExceeded):
-        like().item_counts(inst, max_nodes=4)
-    counts, scale = like().item_counts(inst, max_nodes=8)
+    with pytest.raises(WorkBoundExceeded), work_bound(4):
+        like().item_counts(inst)
+    with work_bound(8):
+        counts, scale = like().item_counts(inst)
     assert (counts, scale) == ([[4, 4, 4], [4, 4, 4]], 8)
-    with pytest.raises(WorkBoundExceeded):
-        orp().item_counts(Instance(tuple((1,) for _ in range(6))), max_nodes=100)
+    with pytest.raises(WorkBoundExceeded), work_bound(100):
+        orp().item_counts(Instance(tuple((1,) for _ in range(6))))
 
 
 def test_item_counts_merge_equal_keys():
@@ -830,7 +833,7 @@ def test_item_counts_merge_equal_keys():
     # is one merged node, whichever agent took which item
     inst = Instance(((1, 1, 1, 1), (1, 1, 1, 1)))
     bids = BidProfile.sincere(inst)
-    layer, counts, scale = mechanisms._expand(BalancedLikeRule(), inst, bids, None, False)
+    layer, counts, scale = mechanisms._expand(BalancedLikeRule(), inst, bids, False)
     assert layer == {((), (2, 2)): scale}
     assert [[Fraction(c, scale) for c in row] for row in counts] == [[Fraction(1, 2)] * 4] * 2
 
@@ -849,7 +852,7 @@ def test_memoized_item_counts_equal_the_counter():
     profiles += seeded_cases(300, 20201019)
     for name in MECHANISM_NAMES:
         mech = get_mechanism(name)
-        want = [mech.counter(inst, bids, None) for inst, bids in profiles]
+        want = [mech.counter(inst, bids) for inst, bids in profiles]
         for _ in range(2):
             got = [mech.item_counts(inst, bids) for inst, bids in profiles]
             assert got == want, name
@@ -868,7 +871,7 @@ def test_item_counts_keep_agent_counts_apart():
         for inst in (two, three, two, three):
             counts, scale = mech.item_counts(inst)
             assert len(counts) == inst.n
-            assert (counts, scale) == mech.counter(inst, None, None), name
+            assert (counts, scale) == mech.counter(inst, None), name
 
 
 def test_item_counts_hand_out_fresh_lists():
@@ -887,16 +890,17 @@ def test_item_counts_keep_no_exceptions():
     inst = Instance(((1, 1, 1), (1, 1, 1)))
     mech = like()
     for _ in range(2):
-        with pytest.raises(WorkBoundExceeded):
-            mech.item_counts(inst, max_nodes=4)
-    assert mech.item_counts(inst, max_nodes=8) == ([[4, 4, 4], [4, 4, 4]], 8)
-    # the bound is part of the key, so an answer under another bound is
-    # not handed out
-    with pytest.raises(WorkBoundExceeded):
-        mech.item_counts(inst, max_nodes=4)
+        with pytest.raises(WorkBoundExceeded), work_bound(4):
+            mech.item_counts(inst)
+    with work_bound(8):
+        assert mech.item_counts(inst) == ([[4, 4, 4], [4, 4, 4]], 8)
+    # the bound is part of the key, so an answer counted under bound 8 is
+    # not handed out under bound 4
+    with pytest.raises(WorkBoundExceeded), work_bound(4):
+        mech.item_counts(inst)
     calls = []
 
-    def broken(instance, bids, max_nodes):
+    def broken(instance, bids):
         calls.append(bids)
         raise RuleInvariantError("broken counter")
 

@@ -17,12 +17,12 @@ from fairdiv import (
     enumerate_allocations,
     expected_utilities,
     generate,
-    is_pea,
     like,
     marginals,
     pareto_frontier,
     pea_solution,
     utility_vector,
+    work_bound,
 )
 from fairdiv import oracle
 from fairdiv.oracle import InfeasibleError, UnboundedError, _simplex_maximize
@@ -45,9 +45,10 @@ def test_enumeration_discards_zero_bid_columns():
 
 def test_enumeration_work_bound():
     inst = Instance(tuple((1, 1, 1, 1) for _ in range(3)))
-    with pytest.raises(WorkBoundExceeded):
-        enumerate_allocations(inst, max_nodes=80)
-    assert len(enumerate_allocations(inst, max_nodes=81)) == 81
+    with pytest.raises(WorkBoundExceeded), work_bound(80):
+        enumerate_allocations(inst)
+    with work_bound(81):
+        assert len(enumerate_allocations(inst)) == 81
 
 
 def test_utility_vector():
@@ -72,10 +73,10 @@ def test_frontier_under_explicit_values():
     assert len(front) == 4
 
 
-def _reference_pareto_frontier(instance, bids=None, *, max_nodes=None):
+def _reference_pareto_frontier(instance, bids=None):
     """The all-pairs frontier that the distinct-vector test replaced."""
     values = instance.utilities if bids is None else bids.bids
-    allocs = enumerate_allocations(instance, bids, max_nodes=max_nodes)
+    allocs = enumerate_allocations(instance, bids)
     vectors = [utility_vector(a, values) for a in allocs]
     out = []
     for i, va in enumerate(vectors):
@@ -144,7 +145,7 @@ def test_efficient_ex_post_can_still_lose_to_a_lottery():
     assert split in pareto_frontier(inst)
     sol = pea_solution(utility_vector(split, inst.utilities), inst)
     assert sol.objective == Fraction(1, 2)
-    assert not is_pea(utility_vector(split, inst.utilities), inst)
+    assert pea_solution(utility_vector(split, inst.utilities), inst).objective != 0
 
 
 def test_pea_accepts_points_below_an_achievable_mixture():
@@ -164,8 +165,8 @@ def test_pea_accepts_points_below_an_achievable_mixture():
 
 
 def test_pea_holds_at_welfare_maximizing_points():
-    assert is_pea((2, 2), SWAP)
-    assert is_pea((3, 0), SWAP)
+    assert pea_solution((2, 2), SWAP).objective == 0
+    assert pea_solution((3, 0), SWAP).objective == 0
 
 
 def test_pea_rejects_unreachable_points():
@@ -225,11 +226,11 @@ def test_dominated_vectors_are_never_efficient_ex_ante():
         front = {a.owners for a in pareto_frontier(inst)}
         dominated = [a for a in allocs if a.owners not in front]
         for alloc in dominated[:3]:
-            assert not is_pea(utility_vector(alloc, inst.utilities), inst)
+            assert pea_solution(utility_vector(alloc, inst.utilities), inst).objective != 0
             hits += 1
         # welfare-maximizing allocations cannot be improved in total
         best = max(allocs, key=lambda a: sum(utility_vector(a, inst.utilities)))
-        assert is_pea(utility_vector(best, inst.utilities), inst)
+        assert pea_solution(utility_vector(best, inst.utilities), inst).objective == 0
     assert hits > 0
 
 
