@@ -1,11 +1,8 @@
 """Axiom checkers for allocation distributions.
 
 Every checker takes the distribution a mechanism produced and judges it
-against true utilities, which default to the utilities of the instance the
-distribution was computed on. Passing ``utilities`` explicitly supports the
-auditor view: a run on strategic bids judged against the bidders' real
-preferences. Every checker validates explicit utilities once, as
-`Instance` does, so a negative entry raises before any work.
+against the true utilities of the instance it was computed on, which a
+run on strategic bids carries too.
 
 Checkers return an AxiomVerdict carrying the boolean, a slack margin where
 one is meaningful, and a concrete witness when the axiom fails. Agent and
@@ -50,25 +47,11 @@ from .core import (
     integer_rows,
     marginal_counts,
     marginals,
-    utility_matrix,
 )
 from .mechanisms import Mechanism, maximal_levels
 from .oracle import LPSolution, enumerate_allocations, pea_solution
 
 Utilities = tuple[tuple[Value, ...], ...]
-UtilitiesLike = Union[Instance, Sequence[Sequence[Value]]]
-
-
-def _resolve_utilities(dist: AllocationDistribution, utilities: Optional[UtilitiesLike],
-                       ) -> tuple[Utilities, Optional[BidProfile]]:
-    """The judged utility matrix, checked once as an `Instance`'s would be,
-    and the bid profile pep and pea enumerate under: None for the
-    instance's own utilities, else the judged matrix."""
-    if utilities is None:
-        return dist.instance.utilities, None
-    mat = utility_matrix(utilities, dist.n, dist.m,
-                         "utility matrix shape differs from the distribution")
-    return mat, BidProfile._validated(mat)
 
 
 @dataclass(frozen=True)
@@ -205,20 +188,18 @@ def _ex_post(axiom: str, dist: AllocationDistribution, u: Utilities, *,
     return _envy_verdict(axiom, worst, scale)
 
 
-def check_efp(dist: AllocationDistribution,
-              utilities: Optional[UtilitiesLike] = None) -> AxiomVerdict:
+def check_efp(dist: AllocationDistribution) -> AxiomVerdict:
     """No agent envies another in any allocation the mechanism can output."""
-    return _ex_post("efp", dist, _resolve_utilities(dist, utilities)[0])
+    return _ex_post("efp", dist, dist.instance.utilities)
 
 
-def check_sefp(dist: AllocationDistribution,
-               utilities: Optional[UtilitiesLike] = None) -> AxiomVerdict:
+def check_sefp(dist: AllocationDistribution) -> AxiomVerdict:
     """Ex post envy-freeness judged on the items the rival actually likes.
 
     Agent i only gets credit for items in its own bundle that agent k values
     positively, yet must still match its value for k's whole bundle.
     """
-    return _ex_post("sefp", dist, _resolve_utilities(dist, utilities)[0], strong=True)
+    return _ex_post("sefp", dist, dist.instance.utilities, strong=True)
 
 
 class _ExAnte:
@@ -271,39 +252,33 @@ class _ExAnte:
         return _envy_verdict(axiom, worst, self.scale)
 
 
-def check_efa(dist: AllocationDistribution,
-              utilities: Optional[UtilitiesLike] = None) -> AxiomVerdict:
+def check_efa(dist: AllocationDistribution) -> AxiomVerdict:
     """No agent envies another's expected utility under the item marginals."""
-    ex = _ExAnte(dist, _resolve_utilities(dist, utilities)[0])
+    ex = _ExAnte(dist, dist.instance.utilities)
     cross = ex.expected()
     return ex.envy("efa", lambda i, k: cross[i][i])
 
 
-def check_sefa(dist: AllocationDistribution,
-               utilities: Optional[UtilitiesLike] = None) -> AxiomVerdict:
+def check_sefa(dist: AllocationDistribution) -> AxiomVerdict:
     """Ex ante envy-freeness with own expectations cut to the rival's likes."""
-    ex = _ExAnte(dist, _resolve_utilities(dist, utilities)[0])
+    ex = _ExAnte(dist, dist.instance.utilities)
     ex.expected()
     counts, scaled = ex.counts, ex.scaled
     return ex.envy("sefa", lambda i, k: sum(
         counts[i][j] * x for j, x in enumerate(scaled[i]) if scaled[k][j] > 0))
 
 
-def check_befp(dist: AllocationDistribution,
-               utilities: Optional[UtilitiesLike] = None) -> AxiomVerdict:
+def check_befp(dist: AllocationDistribution) -> AxiomVerdict:
     """Envy bounded by one item, defined on 0/1 utilities only."""
-    u, _ = _resolve_utilities(dist, utilities)
+    u = dist.instance.utilities
     if any(x not in (0, 1) for row in u for x in row):
         raise ValueError("bounded envy up to one item is defined for 0/1 utilities")
     return _ex_post("befp", dist, u, bound=1)
 
 
-def check_envy_bounded(dist: AllocationDistribution,
-                       utilities: Optional[UtilitiesLike] = None, *,
-                       bound: Value = 1) -> AxiomVerdict:
+def check_envy_bounded(dist: AllocationDistribution, *, bound: Value = 1) -> AxiomVerdict:
     """Ex post envy exceeds own utility by at most ``bound`` in every outcome."""
-    u, _ = _resolve_utilities(dist, utilities)
-    return _ex_post("envy-bounded", dist, u, bound=as_value(bound))
+    return _ex_post("envy-bounded", dist, dist.instance.utilities, bound=as_value(bound))
 
 
 def _own_vector(owners: Sequence[Optional[int]], scaled: list[list[int]]) -> tuple[int, ...]:
@@ -324,12 +299,11 @@ def _bounded_positives(scaled: list[list[int]], m: int) -> tuple[tuple[int, ...]
     enumeration is needed."""
     positives = tuple(tuple(i for i, row in enumerate(scaled) if row[j] > 0)
                       for j in range(m))
-    check_work_bound((len(pos) or 1 for pos in positives), "enumerated allocations")
+    check_work_bound(map(len, positives), "enumerated allocations")
     return positives
 
 
-def check_pep(dist: AllocationDistribution,
-              utilities: Optional[UtilitiesLike] = None) -> AxiomVerdict:
+def check_pep(dist: AllocationDistribution) -> AxiomVerdict:
     """Every support allocation is Pareto optimal among non-wasteful ones.
 
     The non-wasteful allocations give each item to a positive bidder under
@@ -341,15 +315,14 @@ def check_pep(dist: AllocationDistribution,
     enumeration's work bound is applied first, so `WorkBoundExceeded`
     trips whether or not a witness is needed.
     """
-    u, bids = _resolve_utilities(dist, utilities)
-    scaled, _ = integer_rows(u)
+    scaled, _ = integer_rows(dist.instance.utilities)
     positives = _bounded_positives(scaled, dist.m)
     maximal = maximal_levels(scaled, positives)[-1]
     efficient = set(maximal)  # no maximal vector dominates another
     for owners in dist.owners:
         own = _own_vector(owners, scaled)
         if own not in efficient and any(_dominates(v, own) for v in maximal):
-            candidates = enumerate_allocations(dist.instance, bids)
+            candidates = enumerate_allocations(dist.instance)
             rival = next(r for r in candidates if _dominates(_own_vector(r.owners, scaled), own))
             return AxiomVerdict("pep", False, None,
                                 DominationWitness(Allocation._trusted(owners), rival))
@@ -374,17 +347,15 @@ def _supporting_weights(owners: Sequence[Sequence[Optional[int]]], scaled: list[
     so each support allocation attains that maximum, and hence gives every
     item to a bidder of largest weighted value.
 
-    Per item j with positive bidders, every owner o of j in the support
-    must value it, and every other positive bidder k gives the difference
-    constraint ``lam_k * u_kj <= lam_o * u_oj``. Starting from weights 1,
+    Per item j, every owner o of j in the support must value it, and
+    every other positive bidder k gives the difference constraint
+    ``lam_k * u_kj <= lam_o * u_oj``. Starting from weights 1,
     Bellman-Ford relaxes them on exact (numerator, denominator) pairs; a
     change in round n + 1 means a cycle of ratios whose product is below
     1, and the constraints have no solution.
     """
     tightest: dict[tuple[int, int], tuple[int, int]] = {}  # (o, k): lam_k <= lam_o * a / b
     for j, pos in enumerate(positives):
-        if not pos:
-            continue
         for o in {row[j] for row in owners}:
             if o is None or not scaled[o][j]:
                 return None  # giving j to a positive bidder dominates
@@ -409,8 +380,7 @@ def _supporting_weights(owners: Sequence[Sequence[Optional[int]]], scaled: list[
     return None
 
 
-def check_pea(dist: AllocationDistribution,
-              utilities: Optional[UtilitiesLike] = None) -> AxiomVerdict:
+def check_pea(dist: AllocationDistribution) -> AxiomVerdict:
     """No lottery over non-wasteful allocations improves every expected utility.
 
     Holds exactly when some positive agent weights make every support
@@ -420,28 +390,16 @@ def check_pea(dist: AllocationDistribution,
     optimal lottery as the witness. The enumeration's work bound is applied
     first, so `WorkBoundExceeded` trips whichever path decides.
     """
-    u, bids = _resolve_utilities(dist, utilities)
-    ex = _ExAnte(dist, u)
+    ex = _ExAnte(dist, dist.instance.utilities)
     cross = ex.expected()
     positives = _bounded_positives(ex.scaled, dist.m)
     if _supporting_weights(dist.owners, ex.scaled, positives) is not None:
         return AxiomVerdict("pea", True, 0, None)
     own = tuple(_value(cross[i][i], ex.scale) for i in range(dist.n))
-    sol = pea_solution(own, dist.instance, bids)
+    sol = pea_solution(own, dist.instance)
     if sol.objective == 0:
         return AxiomVerdict("pea", True, 0, None)
     return AxiomVerdict("pea", False, sol.objective, ImprovementWitness(sol))
-
-
-CHECKERS = {
-    "efp": check_efp,
-    "efa": check_efa,
-    "sefp": check_sefp,
-    "sefa": check_sefa,
-    "befp": check_befp,
-    "pep": check_pep,
-    "pea": check_pea,
-}
 
 
 def ex_post_equivalent(mech_a: Mechanism, mech_b: Mechanism, instance: Instance,
@@ -479,15 +437,14 @@ def efa_forced_marginals(instance: Instance) -> AssignmentMatrix:
     return AssignmentMatrix(tuple(row for _ in range(instance.n)))
 
 
-def check_prefix_efa(dist: AllocationDistribution,
-                     utilities: Optional[UtilitiesLike] = None) -> AxiomVerdict:
+def check_prefix_efa(dist: AllocationDistribution) -> AxiomVerdict:
     """Envy-freeness ex ante holds after every prefix of the item sequence.
 
     An item's marginals do not depend on later items, so the j-item
     prefix is judged on the first j columns of the distribution's own
     marginals; no prefix distribution is built.
     """
-    ex = _ExAnte(dist, _resolve_utilities(dist, utilities)[0])
+    ex = _ExAnte(dist, dist.instance.utilities)
     cross = ex.cross
     for item in range(dist.m):
         ex.extend(item)
@@ -495,3 +452,17 @@ def check_prefix_efa(dist: AllocationDistribution,
         if not verdict.holds:
             return verdict
     return AxiomVerdict("prefix-efa", True, None, None)
+
+
+# every checker by its command-line name, in the order the command lists them
+CHECKERS = {
+    "efp": check_efp,
+    "efa": check_efa,
+    "sefp": check_sefp,
+    "sefa": check_sefa,
+    "befp": check_befp,
+    "envy-bounded": check_envy_bounded,
+    "pea": check_pea,
+    "pep": check_pep,
+    "prefix-efa": check_prefix_efa,
+}

@@ -4,8 +4,8 @@
 strategy-proofness, envy-freeness and Pareto efficiency axioms, ex ante
 and ex post) over labeled instance suites and compares every cell with
 `EXPECTED_TABLE`. `theorem_checks` re-derives the library's named claims
-from scratch. `check_axiom` is the one map from an axiom's command-line
-name to its checker, shared by the table and `fairdiv check`.
+from scratch. `check_axiom` judges by an axiom's command-line name, a key
+of `axioms.CHECKERS`, for both the table and `fairdiv check`.
 """
 
 from __future__ import annotations
@@ -98,12 +98,10 @@ EXPECTED_TABLE: dict[str, dict[str, dict[str, tuple[bool, bool]]]] = {
 
 
 def check_axiom(name: str, dist: AllocationDistribution, *, bound: Value = 1) -> AxiomVerdict:
-    """Judge ``dist`` by the axiom named as on the command line: a key of
-    `CHECKERS`, ``"envy-bounded"`` (at ``bound``) or ``"prefix-efa"``."""
+    """Judge ``dist`` by the axiom named as on the command line, a key of
+    `CHECKERS`; ``"envy-bounded"`` at ``bound``."""
     if name == "envy-bounded":
         return check_envy_bounded(dist, bound=bound)
-    if name == "prefix-efa":
-        return check_prefix_efa(dist)
     return CHECKERS[name](dist)
 
 

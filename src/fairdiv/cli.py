@@ -27,7 +27,7 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .axioms import check_efa, check_pea, check_pep
+from .axioms import CHECKERS, check_efa, check_pea, check_pep
 from .claims import BLOCKS, COLUMNS, check_axiom, table_report, theorem_checks
 from .core import (
     DEFAULT_MAX_NODES,
@@ -496,8 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--sigma", metavar="ORDER")
     add_instance_opts(p_check)
     p_check.add_argument("--axiom", action="append",
-                         choices=["all", "efp", "efa", "sefp", "sefa", "befp",
-                                  "envy-bounded", "pea", "pep", "prefix-efa"],
+                         choices=["all", *CHECKERS],
                          help="repeatable; default: all applicable")
     p_check.add_argument("--bound", default="1", metavar="P/Q",
                          help="envy bound for the envy-bounded axiom")

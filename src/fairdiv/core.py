@@ -505,31 +505,24 @@ def marginals(dist: AllocationDistribution) -> AssignmentMatrix:
                                   for row in counts))
 
 
-def utility_matrix(utilities: Union[Instance, Sequence[Sequence[object]]], n: int, m: int,
-                   mismatch: str) -> tuple[tuple[Value, ...], ...]:
-    """``utilities`` checked as an n x m matrix, as an `Instance`'s would be;
-    ``mismatch`` is the error for any other shape."""
-    if isinstance(utilities, Instance):
-        mat = utilities.utilities
-    else:
-        mat = tuple(tuple(as_value(x) for x in row) for row in utilities)
-    if len(mat) != n or any(len(row) != m for row in mat):
-        raise ValueError(mismatch)
-    for row in mat:
-        _nonnegative(row, "utility matrix")
-    return mat
-
-
 def expected_utilities(p: AssignmentMatrix,
-                       utilities: Sequence[Sequence[Value]]) -> ExpectedUtilityMatrix:
-    """Cross-evaluation of expected bundles under the given utility matrix.
+                       utilities: Union[Instance, Sequence[Sequence[object]]],
+                       ) -> ExpectedUtilityMatrix:
+    """Cross-evaluation of expected bundles under the given utility matrix
+    (or an `Instance`'s), checked as an `Instance`'s would be.
 
     The sums are taken in integers: ``p`` and ``utilities`` each go onto
     one integer scale (`integer_rows`), and each cell becomes one Fraction
     at the end.
     """
-    rows = utility_matrix(utilities, p.n, p.m,
-                          "utility matrix shape differs from assignment matrix")
+    if isinstance(utilities, Instance):
+        rows = utilities.utilities
+    else:
+        rows = tuple(tuple(as_value(x) for x in row) for row in utilities)
+    if len(rows) != p.n or any(len(row) != p.m for row in rows):
+        raise ValueError("utility matrix shape differs from assignment matrix")
+    for row in rows:
+        _nonnegative(row, "utility matrix")
     probs, p_scale = integer_rows(p.p)
     values, u_scale = integer_rows(rows)
     scale = p_scale * u_scale

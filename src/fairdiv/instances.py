@@ -413,20 +413,51 @@ def _entry_int(value: object, key: str, minimum: Optional[int] = None) -> int:
     return value
 
 
+def _entry_range(value: object, key: str) -> tuple[int, int]:
+    """A manifest range: a list of two integers ``[lo, hi]``, lo <= hi."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"{key!r} must be a list [lo, hi], got {value!r}")
+    lo, hi = (_entry_int(x, key) for x in value)
+    if lo > hi:
+        raise ValueError(f"{key!r} must have lo <= hi, got {value!r}")
+    return lo, hi
+
+
+def _entry_label(value: object) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"'label' must be a string, got {value!r}")
+    return value
+
+
 def _expand_entry(pos: int, entry: dict) -> list[Labeled]:
+    if not isinstance(entry, dict):
+        raise ValueError("expected an object with an 'example', 'utilities' or 'random' key")
     if "example" in entry:
         eid = _entry_int(entry["example"], "example")
         inst, _ = worked_example(eid)
         return [(f"example-{eid}", inst)]
     if "utilities" in entry:
+        matrix = entry["utilities"]
+        if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
+            raise ValueError(f"'utilities' must be a list of rows, got {matrix!r}")
         rows = [tuple(parse_rational(x) if isinstance(x, str) else as_value(x) for x in row)
-                for row in entry["utilities"]]
-        return [(entry.get("label", f"inline-{pos}"), Instance(tuple(rows)))]
+                for row in matrix]
+        return [(_entry_label(entry.get("label", f"inline-{pos}")), Instance(tuple(rows)))]
     if "random" in entry:
+        if not isinstance(entry["random"], dict):
+            raise ValueError(f"'random' must be an object, got {entry['random']!r}")
         params = dict(entry["random"])
         count = _entry_int(params.pop("count"), "count", 0)
         seed = _entry_int(params.pop("seed"), "seed")
-        prefix = params.pop("label", f"blk{pos}")
+        prefix = _entry_label(params.pop("label", f"blk{pos}"))
+        domains = params.get("domains", [])
+        if not isinstance(domains, list) or not all(isinstance(d, str) for d in domains):
+            raise ValueError(f"'domains' must be a list of strings, got {domains!r}")
+        for key in ("n_range", "m_range"):
+            if key in params:
+                params[key] = _entry_range(params[key], key)
+        if "bound" in params:
+            params["bound"] = _entry_int(params["bound"], "bound")
         return [(f"{prefix}-{label}", inst) for label, inst in random_suite(count, seed, **params)]
     raise ValueError("expected an 'example', 'utilities' or 'random' key")
 

@@ -36,7 +36,6 @@ from fairdiv import (
     ex_ante_equivalent,
     ex_post_equivalent,
     expected_utilities,
-    format_value,
     get_mechanism,
     like,
     marginals,
@@ -138,19 +137,17 @@ def test_sefp_restricts_to_items_the_rival_likes():
 
 
 def test_checkers_accept_auditor_utilities():
-    # run on strategic bids, judge against the true matrix
+    # a run on strategic bids is judged against the instance's true matrix
     bids = BidProfile(((1, 0), (2, 1)))
     dist = like().run(SWAP, bids)
-    assert not check_efa(dist, SWAP.utilities).holds
-    with pytest.raises(ValueError):
-        check_efa(dist, ((1, 2, 3), (1, 1, 1)))
+    assert not check_efa(dist).holds
 
 
 def test_pep_under_reported_bids():
     bids = ((1, 1), (1, 1))
     dist = like().run(SWAP, BidProfile(bids))
     # judged on the flat bids, nothing dominates anything
-    assert check_pep(dist, bids).holds
+    assert check_pep(AllocationDistribution(Instance(bids), dist.entries)).holds
     assert not check_pep(dist).holds
 
 
@@ -226,23 +223,6 @@ def test_checker_verdicts_are_pinned():
 # every enumerated allocation.
 
 
-def _ref_resolve(dist, utilities):
-    if utilities is None:
-        return dist.instance.utilities
-    if isinstance(utilities, Instance):
-        mat = utilities.utilities
-    else:
-        mat = tuple(tuple(as_value(x) for x in row) for row in utilities)
-    if len(mat) != dist.n or any(len(row) != dist.m for row in mat):
-        raise ValueError("utility matrix shape differs from the distribution")
-    for row in mat:
-        for x in row:
-            if x < 0:
-                raise ValueError(f"utility matrix entries must be nonnegative, "
-                                 f"got {format_value(x)}")
-    return mat
-
-
 def _ref_envy_verdict(axiom, triples):
     margin = worst = None
     for witness, own, others in triples:
@@ -256,8 +236,8 @@ def _ref_envy_verdict(axiom, triples):
     return AxiomVerdict(axiom, False, margin, worst)
 
 
-def ref_envy_bounded(dist, utilities=None, *, bound=1, axiom="envy-bounded"):
-    u = _ref_resolve(dist, utilities)
+def ref_envy_bounded(dist, *, bound=1, axiom="envy-bounded"):
+    u = dist.instance.utilities
     b = as_value(bound)
 
     def triples():
@@ -272,12 +252,12 @@ def ref_envy_bounded(dist, utilities=None, *, bound=1, axiom="envy-bounded"):
     return _ref_envy_verdict(axiom, triples())
 
 
-def ref_efp(dist, utilities=None):
-    return ref_envy_bounded(dist, utilities, bound=0, axiom="efp")
+def ref_efp(dist):
+    return ref_envy_bounded(dist, bound=0, axiom="efp")
 
 
-def ref_sefp(dist, utilities=None):
-    u = _ref_resolve(dist, utilities)
+def ref_sefp(dist):
+    u = dist.instance.utilities
 
     def triples():
         for alloc, _ in dist:
@@ -292,8 +272,8 @@ def ref_sefp(dist, utilities=None):
     return _ref_envy_verdict("sefp", triples())
 
 
-def ref_efa(dist, utilities=None):
-    u = _ref_resolve(dist, utilities)
+def ref_efa(dist):
+    u = dist.instance.utilities
     ubar = expected_utilities(marginals(dist), u)
     return _ref_envy_verdict("efa", (
         (EnvyWitness(None, i, k, ubar.entry(i, i), ubar.entry(i, k)),
@@ -301,8 +281,8 @@ def ref_efa(dist, utilities=None):
         for i in range(dist.n) for k in range(dist.n) if k != i))
 
 
-def ref_sefa(dist, utilities=None):
-    u = _ref_resolve(dist, utilities)
+def ref_sefa(dist):
+    u = dist.instance.utilities
     p = marginals(dist)
     ubar = expected_utilities(p, u)
 
@@ -318,10 +298,9 @@ def ref_sefa(dist, utilities=None):
     return _ref_envy_verdict("sefa", triples())
 
 
-def ref_prefix_efa(dist, utilities=None):
-    u = _ref_resolve(dist, utilities)
+def ref_prefix_efa(dist):
     for upto in range(1, dist.m + 1):
-        verdict = ref_efa(dist.prefix(upto), tuple(row[:upto] for row in u))
+        verdict = ref_efa(dist.prefix(upto))
         if not verdict.holds:
             return AxiomVerdict("prefix-efa", False, verdict.margin, verdict.witness)
     return AxiomVerdict("prefix-efa", True, None, None)
@@ -331,10 +310,9 @@ def dominates(va, vb):
     return va != vb and all(x >= y for x, y in zip(va, vb))
 
 
-def ref_pep(dist, utilities=None):
-    u = _ref_resolve(dist, utilities)
-    bids = None if utilities is None else BidProfile(u)
-    candidates = enumerate_allocations(dist.instance, bids)
+def ref_pep(dist):
+    u = dist.instance.utilities
+    candidates = enumerate_allocations(dist.instance)
     rivals = [(rival, utility_vector(rival, u)) for rival in candidates]
     for alloc, _ in dist:
         own = utility_vector(alloc, u)
@@ -344,11 +322,10 @@ def ref_pep(dist, utilities=None):
     return AxiomVerdict("pep", True, None, None)
 
 
-def ref_pea(dist, utilities=None):
-    u = _ref_resolve(dist, utilities)
-    bids = None if utilities is None else BidProfile(u)
+def ref_pea(dist):
+    u = dist.instance.utilities
     own = expected_utilities(marginals(dist), u).own()
-    sol = pea_solution(own, dist.instance, bids)
+    sol = pea_solution(own, dist.instance)
     if sol.objective == 0:
         return AxiomVerdict("pea", True, 0, None)
     return AxiomVerdict("pea", False, sol.objective, ImprovementWitness(sol))
@@ -361,7 +338,7 @@ def _outcome(check, *args, **kwargs):
         return type(exc).__name__, str(exc)
 
 
-def _assert_checkers_match(dist, utilities=None):
+def _assert_checkers_match(dist):
     """Every checker against its reference on one distribution; returns
     how many verdicts fail, so a caller can tell the sweep found some."""
     pairs = [(check_efp, ref_efp), (check_sefp, ref_sefp), (check_efa, ref_efa),
@@ -371,8 +348,8 @@ def _assert_checkers_match(dist, utilities=None):
     calls += [(check_pep, ref_pep, {}), (check_pea, ref_pea, {})]
     failing = 0
     for new, ref, kwargs in calls:
-        got = _outcome(new, dist, utilities, **kwargs)
-        assert got == _outcome(ref, dist, utilities, **kwargs), (new.__name__, dist, utilities)
+        got = _outcome(new, dist, **kwargs)
+        assert got == _outcome(ref, dist, **kwargs), (new.__name__, dist)
         failing += isinstance(got, dict) and not got["holds"]
     return failing
 
@@ -415,9 +392,18 @@ def _fractional_matrix(rng, n, m, zero_columns=False):
     return tuple(tuple(r) for r in rows)
 
 
+def _judged_by(matrix, dist):
+    """``dist``'s lottery on the instance with utilities ``matrix``, or
+    None when ``matrix`` values nothing in some column, as no instance does."""
+    if not all(any(column) for column in zip(*matrix)):
+        return None
+    return AllocationDistribution(Instance(matrix), dist.entries)
+
+
 def test_checkers_match_references_on_strategic_bids_and_auditor_views():
     # utilities, bids and auditor matrices drawn apart; bids may zero a
-    # column, and auditor matrices may value nothing in a column
+    # column, and an auditor matrix judges a run's lottery on an instance
+    # of its own when it values every item
     rng = random.Random(20261018)
     failing = 0
     for _ in range(60):
@@ -427,15 +413,16 @@ def test_checkers_match_references_on_strategic_bids_and_auditor_views():
         auditor = _fractional_matrix(rng, n, m, zero_columns=True)
         for dist in _distinct_runs(inst, bids):
             failing += _assert_checkers_match(dist)
-            failing += _assert_checkers_match(dist, auditor)
-            failing += _assert_checkers_match(dist, Instance(_fractional_matrix(rng, n, m)))
+            for matrix in (auditor, _fractional_matrix(rng, n, m)):
+                judged = _judged_by(matrix, dist)
+                if judged is not None:
+                    failing += _assert_checkers_match(judged)
     assert failing > 600
 
 
 def test_checkers_match_references_where_errors_are_raised():
     rng = random.Random(20261019)
     raised = set()
-    rejected = 0  # signed matrices with a negative entry
     for _ in range(40):
         n, m = rng.randint(2, 3), rng.randint(2, 4)
         inst = Instance(_fractional_matrix(rng, n, m))
@@ -444,22 +431,9 @@ def test_checkers_match_references_where_errors_are_raised():
         with work_bound(3):
             _assert_checkers_match(dist)
             pep = _outcome(check_pep, dist)
-        # negative auditor values are rejected up front, by every checker alike
-        signed = tuple(tuple(x - 1 for x in row) for row in _fractional_matrix(rng, n, m))
-        _assert_checkers_match(dist, signed)
-        negative = [x for row in signed for x in row if x < 0]
-        if negative:
-            rejected += 1
-            message = ("utility matrix entries must be nonnegative, "
-                       f"got {format_value(negative[0])}")
-            for check in (check_efp, check_sefp, check_efa, check_sefa, check_prefix_efa,
-                          check_befp, check_envy_bounded, check_pep, check_pea):
-                assert _outcome(check, dist, signed) == ("ValueError", message), check.__name__
-        efa = _outcome(check_efa, dist, signed)
-        raised.update(got[0] for got in (pep, efa) if isinstance(got, tuple))
-        _assert_checkers_match(dist, ((1,) * (m + 1),) * n)  # wrong shape
-    assert raised == {"WorkBoundExceeded", "ValueError"}
-    assert rejected > 30
+        if isinstance(pep, tuple):
+            raised.add(pep[0])
+    assert raised == {"WorkBoundExceeded"}
 
 
 def test_checker_edge_cases():
@@ -498,11 +472,11 @@ def test_checker_edge_cases():
 
 
 def _four_agent_cases(seed, count):
-    """``(dist, utilities)`` on seeded 4 x 2..4 fractional instances: sincere
-    and strategic runs, each judged on its instance and by an auditor matrix
-    that may value nothing in a column. One more run gives item j to the
-    j-th agent of a random ring of m agents, its lone bidder, and is judged
-    by a matrix where only that agent and the next one value j: the
+    """Distributions on seeded 4 x 2..4 fractional instances: sincere and
+    strategic runs, each judged on its instance and, when it values every
+    item, by an auditor matrix (`_judged_by`). One more run gives item j to
+    the j-th agent of a random ring of m agents, its lone bidder, on an
+    instance where only that agent and the next one value j: the
     constraints then form one cycle through all m agents."""
     rng = random.Random(seed)
     for _ in range(count):
@@ -511,21 +485,23 @@ def _four_agent_cases(seed, count):
         bids = BidProfile(_fractional_matrix(rng, 4, m, zero_columns=True))
         auditor = _fractional_matrix(rng, 4, m, zero_columns=True)
         for dist in [*_distinct_runs(inst), *_distinct_runs(inst, bids)]:
-            yield dist, None
-            yield dist, auditor
+            yield dist
+            judged = _judged_by(auditor, dist)
+            if judged is not None:
+                yield judged
         ring = rng.sample(range(4), m)
         lone = BidProfile(tuple(tuple(int(i == ring[j]) for j in range(m)) for i in range(4)))
         cyclic = tuple(tuple(Fraction(rng.randint(1, 6), rng.randint(1, 4))
                              if i in (ring[j], ring[(j + 1) % m]) else 0 for j in range(m))
                        for i in range(4))
-        yield osd().run(inst, lone), cyclic
+        yield osd().run(Instance(cyclic), lone)
 
 
 def test_pea_matches_the_lp_with_four_agents():
     failing = holding = 0
-    for dist, utilities in _four_agent_cases(20261020, 40):
-        got = _outcome(check_pea, dist, utilities)
-        assert got == _outcome(ref_pea, dist, utilities), (dist, utilities)
+    for dist in _four_agent_cases(20261020, 40):
+        got = _outcome(check_pea, dist)
+        assert got == _outcome(ref_pea, dist), dist
         failing += not got["holds"]
         holding += got["holds"]
     assert failing > 100 and holding > 100
@@ -533,9 +509,8 @@ def test_pea_matches_the_lp_with_four_agents():
 
 def test_supporting_weights_make_the_support_welfare_maximal():
     certified = 0
-    for dist, utilities in _four_agent_cases(20261021, 40):
-        u = _ref_resolve(dist, utilities)
-        scaled, _ = integer_rows(u)
+    for dist in _four_agent_cases(20261021, 40):
+        scaled, _ = integer_rows(dist.instance.utilities)
         positives = [tuple(i for i, row in enumerate(scaled) if row[j] > 0)
                      for j in range(dist.m)]
         lam = _supporting_weights(dist.owners, scaled, positives)
@@ -548,8 +523,7 @@ def test_supporting_weights_make_the_support_welfare_maximal():
             return sum(lam[o] * scaled[o][j] for j, o in enumerate(owners) if o is not None)
 
         support = {welfare(owners) for owners in dist.owners}
-        assert len(support) == 1, (dist, utilities, lam)
-        bids = None if utilities is None else BidProfile(u)
+        assert len(support) == 1, (dist, lam)
         assert all(welfare(a.owners) <= max(support)
-                   for a in enumerate_allocations(dist.instance, bids))
+                   for a in enumerate_allocations(dist.instance))
     assert certified > 100

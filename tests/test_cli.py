@@ -179,6 +179,25 @@ def test_check_prefix_efa(capsys):
     assert code == 1
 
 
+def test_check_judges_a_run_on_bids_by_its_instance(capsys, tmp_path):
+    # the rule reads the bids; every axiom reads the instance's utilities
+    files = {}
+    for name, text in (("ex1", EX1), ("flat", "2 2\n1 1\n1 1\n"), ("lie", "2 2\n1 0\n2 1\n")):
+        files[name] = tmp_path / f"{name}.txt"
+        files[name].write_text(text)
+    for inst, bids, axioms, code, out in (
+            ("ex1", "flat", ("pep", "efa"), 1,
+             "pep: FAILS [domination: allocation=o1:1 o2:2, dominator=o1:2 o2:1]\n"
+             "efa: holds (margin 0)\n"),
+            ("ex1", "lie", ("efa",), 1,
+             "efa: FAILS [envy: agent=1, rival=2, own=1/2, others=5/2]\n"),
+            ("flat", "flat", ("pep",), 0, "pep: holds\n")):
+        argv = ["check", "like", "--instance", str(files[inst]), "--bids", str(files[bids])]
+        for axiom in axioms:
+            argv += ["--axiom", axiom]
+        assert run_cli(capsys, *argv) == (code, out), (inst, bids)
+
+
 def test_falsify_exit_codes(capsys):
     cases = (
         ("like", "sp", 0),
@@ -516,7 +535,20 @@ def test_manifest_integers_are_not_truncated(capsys, tmp_path):
             ({"random": {"count": 2.7, "seed": 1}}, "'count' must be an integer, got 2.7"),
             ({"random": {"count": True, "seed": 1}}, "'count' must be an integer, got True"),
             ({"random": {"count": -1, "seed": 1}}, "'count' must be at least 0, got -1"),
-            ({"random": {"count": 2, "seed": 1.0}}, "'seed' must be an integer, got 1.0")):
+            ({"random": {"count": 2, "seed": 1.0}}, "'seed' must be an integer, got 1.0"),
+            # each once gave Python's own message, or was accepted
+            (5, "expected an object with an 'example', 'utilities' or 'random' key"),
+            ({"random": 5}, "'random' must be an object, got 5"),
+            ({"utilities": 5}, "'utilities' must be a list of rows, got 5"),
+            ({"random": {"count": 2, "seed": 1, "n_range": [3, 2]}},
+             "'n_range' must have lo <= hi, got [3, 2]"),
+            ({"random": {"count": 2, "seed": 1, "m_range": 3}},
+             "'m_range' must be a list [lo, hi], got 3"),
+            ({"random": {"count": 2, "seed": 1, "domains": "binary"}},
+             "'domains' must be a list of strings, got 'binary'"),
+            ({"random": {"count": 2, "seed": 1, "bound": 2.5}},
+             "'bound' must be an integer, got 2.5"),
+            ({"label": 5, "utilities": [[1]]}, "'label' must be a string, got 5")):
         path.write_text(json.dumps({"blocks": {"general": [entry]}}), encoding="utf-8")
         code, out, err = _run_err(capsys, "table", "--manifest", str(path), "--json")
         assert (code, out) == (3, "")

@@ -19,7 +19,6 @@ from fairdiv import (
     WorkBoundExceeded,
     as_value,
     bundle_utility,
-    check_efa,
     check_pep,
     expected_utilities,
     format_value,
@@ -492,7 +491,6 @@ _VALUE_ENTRY_POINTS = {
     "osd": lambda x: osd((x, 0)).run(_SWAP),
     "BidGrid": lambda x: BidGrid((x,)),
     "expected_utilities": lambda x: expected_utilities(_SWAP_MARGINALS, ((x, 2), (2, 1))),
-    "checker utilities": lambda x: check_efa(like().run(_SWAP), ((x, 2), (2, 1))),
     "pea_solution": lambda x: pea_solution((x, 2), _SWAP),
 }
 

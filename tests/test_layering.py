@@ -91,16 +91,28 @@ def test_the_pea_certificate_reaches_no_oracle_code():
     assert used & ({name for _, name in imported} | local) == set()
 
 
+def _functions_taking(module, parameter):
+    """Names of the functions and lambdas in ``module`` with a parameter
+    named ``parameter``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    taking = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            if parameter in {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}:
+                taking.append(getattr(node, "name", "<lambda>"))
+    return taking
+
 
 def test_no_function_takes_a_work_bound_parameter():
     # the work bound is one scoped setting; only the setting itself,
     # `core.work_bound`, takes it, and no layer hands it on
-    taking = []
-    for module in MODULES:
-        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                args = node.args
-                if "max_nodes" in {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}:
-                    taking.append((module, getattr(node, "name", "<lambda>")))
+    taking = [(module, name) for module in MODULES
+              for name in _functions_taking(module, "max_nodes")]
     assert taking == [("core", "work_bound")]
+
+
+def test_no_checker_takes_a_utilities_parameter():
+    # every axiom is judged on the distribution's own instance, which
+    # holds the true utilities of a run on bids too
+    assert _functions_taking("axioms", "utilities") == []
