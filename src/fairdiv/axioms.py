@@ -42,6 +42,7 @@ from .core import (
     Instance,
     Value,
     as_value,
+    check_column_sum,
     check_work_bound,
     format_value,
     integer_rows,
@@ -221,11 +222,7 @@ class _ExAnte:
         self.cross = [[0] * self.n for _ in range(self.n)]
 
     def extend(self, item: int) -> None:
-        # the column must sum to 0 or 1, as `AssignmentMatrix` requires
-        total = sum(row[item] for row in self.counts)
-        if total not in (0, self.L):
-            raise ValueError(f"column {item + 1} sums to {Fraction(total, self.L)}, "
-                             "expected 0 or 1")
+        check_column_sum(self.counts, item, self.L)
         for i, row in enumerate(self.cross):
             x = self.scaled[i][item]
             if x:

@@ -116,6 +116,14 @@ def _exact_matrix(rows: Iterable[Iterable[object]], what: str) -> tuple[tuple[Va
     return mat
 
 
+def _unchecked(cls: type, **fields: object):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, which
+    the library built valid; its checks do not run."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
 def integer_rows(rows: Sequence[Sequence[Value]], base: int = 1) -> tuple[list[list[int]], int]:
     """The matrix on one integer scale: ``(scaled, D)``.
 
@@ -164,10 +172,11 @@ class Instance:
         return tuple(row[item] for row in self.utilities)
 
     def prefix(self, upto: int) -> "Instance":
-        """The sub-instance consisting of the first ``upto`` items."""
+        """The sub-instance consisting of the first ``upto`` items; its rows
+        are this instance's, so they are not checked again."""
         if not 0 <= upto <= self.m:
             raise ValueError("prefix length out of range")
-        return Instance(tuple(row[:upto] for row in self.utilities))
+        return _unchecked(Instance, utilities=tuple([row[:upto] for row in self.utilities]))
 
 
 @dataclass(frozen=True)
@@ -192,9 +201,7 @@ class BidProfile:
     def _validated(cls, rows: tuple[tuple[Value, ...], ...]) -> "BidProfile":
         """A profile over rows that are already exact, nonnegative and of
         equal length, built without checking them again."""
-        profile = object.__new__(cls)
-        object.__setattr__(profile, "bids", rows)
-        return profile
+        return _unchecked(cls, bids=rows)
 
     @classmethod
     def sincere(cls, instance: Instance) -> "BidProfile":
@@ -337,23 +344,25 @@ class AllocationDistribution:
         if sum(weights) != scale:
             raise ValueError(f"probabilities sum to {Fraction(sum(weights), scale)}, expected 1")
         # checked: hold the fields the trusted path gives these weights
-        vars(self).update(vars(self._trusted(self.instance, dict(zip(rows, weights)), scale)))
+        vars(self).update(vars(self._trusted(self.instance, zip(rows, weights), scale)))
 
     @classmethod
-    def _trusted(cls, instance: Instance, weights: Mapping[tuple, int],
+    def _trusted(cls, instance: Instance, pairs: Iterable[tuple[tuple, int]],
                  scale: int) -> "AllocationDistribution":
-        """Each owners tuple with its weight over ``scale``, unchecked, in
-        lowest terms and sorted by owners (`Allocation.sort_key`)."""
+        """``(owners, weight)`` pairs, each owners tuple once with its weight
+        over ``scale``, unchecked; held in lowest terms and sorted by owners
+        (`Allocation.sort_key`). The expansion engine lists the built-in
+        rules' leaves in that order already, which the sort confirms in one
+        pass; a custom rule's order is sorted here."""
+        pairs = list(pairs)
         try:
-            owners = sorted(weights)
+            pairs.sort(key=operator.itemgetter(0))
         except TypeError:  # a None met an int; engines discard alike on every branch
-            owners = sorted(weights, key=lambda o: Allocation._trusted(o).sort_key())
-        common = math.gcd(scale, *weights.values())
-        dist = object.__new__(cls)
+            pairs.sort(key=lambda pair: Allocation._trusted(pair[0]).sort_key())
+        common = math.gcd(scale, *[w for _, w in pairs])
         # tuples from lists, of known length (see `support`)
-        vars(dist).update(instance=instance, owners=tuple(owners), scale=scale // common,
-                          weights=tuple([weights[o] // common for o in owners]))
-        return dist
+        return _unchecked(cls, instance=instance, owners=tuple([o for o, _ in pairs]),
+                          scale=scale // common, weights=tuple([w // common for _, w in pairs]))
 
     @classmethod
     def from_map(cls, instance: Instance,
@@ -384,7 +393,7 @@ class AllocationDistribution:
             factor = w.numerator * (scale // (dist.scale * w.denominator))
             for owners, c in zip(dist.owners, dist.weights):
                 merged[owners] = merged.get(owners, 0) + factor * c
-        return cls._trusted(instance, {o: c for o, c in merged.items() if c}, scale)
+        return cls._trusted(instance, [(o, c) for o, c in merged.items() if c], scale)
 
     @property
     def n(self) -> int:
@@ -410,7 +419,8 @@ class AllocationDistribution:
         for owners, w in zip(self.owners, self.weights):
             head = owners[:upto]
             merged[head] = merged.get(head, 0) + w
-        return AllocationDistribution._trusted(self.instance.prefix(upto), merged, self.scale)
+        return AllocationDistribution._trusted(self.instance.prefix(upto), merged.items(),
+                                               self.scale)
 
     def __iter__(self) -> Iterator[tuple[Allocation, Fraction]]:
         return iter(self.entries)
@@ -494,26 +504,42 @@ def marginal_counts(dist: AllocationDistribution) -> tuple[ItemCounts, int]:
     return counts, dist.scale
 
 
+def check_column_sum(counts: ItemCounts, item: int, scale: int) -> None:
+    """Raise ValueError unless column ``item`` of the integer marginals
+    ``counts`` over ``scale`` sums to 0 or ``scale``, as an
+    `AssignmentMatrix` column must sum to 0 or 1."""
+    total = sum(row[item] for row in counts)
+    if total not in (0, scale):
+        raise ValueError(f"column {item + 1} sums to {Fraction(total, scale)}, expected 0 or 1")
+
+
 def marginals(dist: AllocationDistribution) -> AssignmentMatrix:
     """Collapse a distribution to per-item assignment probabilities.
 
-    The sums are taken in integers by `marginal_counts`; each cell becomes
-    one Fraction at the end.
+    The sums are taken in integers by `marginal_counts`, and each column's
+    sum is checked there (`check_column_sum`). Counts are sums of positive
+    weights, so no cell exceeds its column's sum; each cell becomes one
+    Fraction at the end, and the matrix is not checked again.
     """
     counts, scale = marginal_counts(dist)
-    return AssignmentMatrix(tuple(tuple(as_value(Fraction(c, scale)) for c in row)
-                                  for row in counts))
+    for j in range(dist.m):
+        check_column_sum(counts, j, scale)
+    return _unchecked(AssignmentMatrix, p=tuple(
+        tuple([as_value(Fraction(c, scale)) for c in row]) for row in counts))
 
 
 def expected_utilities(p: AssignmentMatrix,
                        utilities: Union[Instance, Sequence[Sequence[object]]],
                        ) -> ExpectedUtilityMatrix:
     """Cross-evaluation of expected bundles under the given utility matrix
-    (or an `Instance`'s), checked as an `Instance`'s would be.
+    (or an `Instance`'s).
 
-    The sums are taken in integers: ``p`` and ``utilities`` each go onto
-    one integer scale (`integer_rows`), and each cell becomes one Fraction
-    at the end.
+    A plain matrix is checked to be exact, nonnegative and of ``p``'s
+    shape; unlike an `Instance`'s, it may have a column nobody values. The
+    sums are taken in integers: ``p`` and ``utilities`` each go onto one
+    integer scale (`integer_rows`), and each cell becomes one Fraction at
+    the end. Those cells are exact and nonnegative, n x n, so the result is
+    not checked again.
     """
     if isinstance(utilities, Instance):
         rows = utilities.utilities
@@ -526,8 +552,8 @@ def expected_utilities(p: AssignmentMatrix,
     probs, p_scale = integer_rows(p.p)
     values, u_scale = integer_rows(rows)
     scale = p_scale * u_scale
-    return ExpectedUtilityMatrix(tuple(
-        tuple(as_value(Fraction(sum(map(operator.mul, pk, row_i)), scale)) for pk in probs)
+    return _unchecked(ExpectedUtilityMatrix, ubar=tuple(
+        tuple([as_value(Fraction(sum(map(operator.mul, pk, row_i)), scale)) for pk in probs])
         for row_i in values))
 
 

@@ -275,7 +275,7 @@ class ConstructedMechanism:
             # rebind to the caller's instance; the outcome depends on
             # the observed bids only
             return AllocationDistribution._trusted(
-                instance, dict(zip(dist.owners, dist.weights)), dist.scale)
+                instance, zip(dist.owners, dist.weights), dist.scale)
         return self.base.run(instance, bids)
 
     def item_counts(self, instance: Instance,

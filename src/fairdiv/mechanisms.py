@@ -20,12 +20,14 @@ orp is the uniform mixture of osd over all priority orders.
 
 The engine, `_expand`, is one forward pass over the items on int weights
 over one common scale L. Along each branch it carries the rule's state key
-(see `FeasibilityRule`). `allocate` keeps every owner prefix and hands
-the last layer's owners and int weights to the distribution as they are.
-`Mechanism.item_counts` drops the owners, so nodes with equal keys merge,
-and returns only the integer item marginals over L; the deviation searches
-need nothing more. orp's are the `marginal_counts` of its distribution.
-Each mechanism object counts a bid view (`view_key`) once.
+(see `FeasibilityRule`). `allocate` keeps every owner prefix, so no two
+nodes merge and each layer is a plain list that nothing hashes; it hands
+the last layer's (owners, weight) pairs to the distribution, which sorts
+them. `Mechanism.item_counts` drops the owners, so nodes with equal keys
+merge in a dict by key, and returns only the integer item marginals over
+L; the deviation searches need nothing more. orp's are the
+`marginal_counts` of its distribution. Each mechanism object counts a bid
+view (`view_key`) once.
 """
 
 from __future__ import annotations
@@ -328,10 +330,11 @@ def _share(weight: int, ways: int) -> int:
 
 def _expand(rule: FeasibilityRule, instance: Instance, bids: Optional[BidProfile],
             keep_owners: bool,
-            ) -> tuple[dict[tuple[tuple, Hashable], int], Optional[ItemCounts], int]:
+            ) -> tuple[list[tuple[tuple, Hashable, int]], Optional[ItemCounts], int]:
     """The expansion engine: one forward pass over the items, layer by layer.
 
-    A layer maps ``(owners, key)`` to an int weight over the common scale
+    A node of a layer is ``(owners, key, weight)``: its owner prefix, its
+    state key and an int weight over the common scale
     L = prod_j lcm(1..c_j), c_j the count of the rule's candidates for
     item j (at least 1); the root has weight L. At item j every node splits
     its weight uniformly over the rule's feasible set, or passes it on
@@ -339,13 +342,14 @@ def _expand(rule: FeasibilityRule, instance: Instance, bids: Optional[BidProfile
     since the weight still holds every lcm factor of items j onward.
 
     With ``keep_owners`` every node keeps its owner prefix, so no two
-    nodes merge and the last layer lists every allocation once. Without
-    it the owners stay ``()``, nodes with equal keys merge, and each share
-    is added into ``counts[i][j]``; the returned counts are None otherwise.
-    Returns (last layer, counts, L). Raises WorkBoundExceeded before
-    `begin` runs when the product of the c_j, a bound on the tree's leaves,
-    exceeds the `work_bound`, and RuleInvariantError when a feasible set is
-    larger than c_j.
+    nodes can merge: a layer is a plain list, nothing is hashed, and the
+    last layer lists every allocation once. Without it the owners stay
+    ``()``, nodes with equal keys merge in a dict from key to weight, and
+    each share is added into ``counts[i][j]``; the returned counts are None
+    otherwise. Returns (last layer's nodes, counts, L). Raises
+    WorkBoundExceeded before `begin` runs when the product of the c_j, a
+    bound on the tree's leaves, exceeds the `work_bound`, and
+    RuleInvariantError when a feasible set is larger than c_j.
     """
     n, m = instance.n, instance.m
     bids = BidProfile.for_instance(instance, bids)
@@ -357,19 +361,22 @@ def _expand(rule: FeasibilityRule, instance: Instance, bids: Optional[BidProfile
     tally = rule.tally(bids)
     state = rule.begin(bids, candidates, tally)
     counts = None if keep_owners else [[0] * m for _ in range(n)]
-    layer: dict[tuple[tuple, Hashable], int] = {((), () if tally is None else (0,) * n): scale}
+    nodes = [((), () if tally is None else (0,) * n, scale)]
     for j in range(m):
         assigned = bool(positives[j])
-        grown: dict[tuple[tuple, Hashable], int] = {}
-        for (owners, key), weight in layer.items():
+        grown: list[tuple[tuple, Hashable, int]] = []
+        merged: dict[Hashable, int] = {}
+        for owners, key, weight in nodes:
             feas = rule.feasible(state, j, key)
             if not feas:
                 if assigned:
                     raise RuleInvariantError(
                         f"{rule.name}: no feasible agent for item {j + 1} despite positive bids"
                     )
-                node = (owners + (None,) if keep_owners else (), key)
-                grown[node] = grown.get(node, 0) + weight
+                if keep_owners:
+                    grown.append((owners + (None,), key, weight))
+                else:
+                    merged[key] = merged.get(key, 0) + weight
                 continue
             if not assigned:
                 raise RuleInvariantError(
@@ -389,12 +396,13 @@ def _expand(rule: FeasibilityRule, instance: Instance, bids: Optional[BidProfile
                     totals = list(key)
                     totals[i] += tally[i][j]
                     child = tuple(totals)
-                node = (owners + (i,) if keep_owners else (), child)
-                grown[node] = grown.get(node, 0) + share
-                if counts is not None:
+                if keep_owners:
+                    grown.append((owners + (i,), child, share))
+                else:
+                    merged[child] = merged.get(child, 0) + share
                     counts[i][j] += share
-        layer = grown
-    return layer, counts, scale
+        nodes = grown if keep_owners else [((), key, w) for key, w in merged.items()]
+    return nodes, counts, scale
 
 
 def allocate(rule: FeasibilityRule, instance: Instance,
@@ -403,12 +411,13 @@ def allocate(rule: FeasibilityRule, instance: Instance,
 
     Returns the exact distribution over complete allocations: the engine's
     layered pass keeps every owner prefix, so each node of its last layer
-    is one allocation, and the node's int weight over the scale L goes to
-    the distribution as it is. Raises WorkBoundExceeded when the expansion
-    tree could have more leaves than the `work_bound`.
+    is one allocation, and the nodes' owners and int weights over the scale
+    L go to the distribution as ``(owners, weight)`` pairs, without being
+    hashed. Raises WorkBoundExceeded when the expansion tree could have
+    more leaves than the `work_bound`.
     """
-    layer, _, scale = _expand(rule, instance, bids, keep_owners=True)
-    return AllocationDistribution._trusted(instance, {o: w for (o, _), w in layer.items()}, scale)
+    nodes, _, scale = _expand(rule, instance, bids, keep_owners=True)
+    return AllocationDistribution._trusted(instance, [(o, w) for o, _, w in nodes], scale)
 
 
 def orp_distribution(instance: Instance,
@@ -425,7 +434,7 @@ def orp_distribution(instance: Instance,
     for perm in permutations(range(n)):
         key = tuple(next((i for i in perm if i in pos), None) for pos in positives)
         outcomes[key] = outcomes.get(key, 0) + 1
-    return AllocationDistribution._trusted(instance, outcomes, math.factorial(n))
+    return AllocationDistribution._trusted(instance, outcomes.items(), math.factorial(n))
 
 
 #: What a mechanism's outcome can depend on, per item column of the bids:

@@ -65,6 +65,29 @@ def test_instance_shape_and_accessors():
     assert inst.prefix(0).m == 0
 
 
+def test_instance_prefix_equals_a_freshly_checked_instance():
+    # prefix reuses the instance's checked rows; building the same rows
+    # through the constructor must give an equal instance for every k
+    rng = random.Random(20261022)
+    for _ in range(60):
+        n, m = rng.randint(1, 4), rng.randint(1, 5)
+        rows = [[as_value(Fraction(rng.randint(0, 6), rng.randint(1, 4))) for _ in range(m)]
+                for _ in range(n)]
+        for j in range(m):
+            if all(row[j] == 0 for row in rows):
+                rows[rng.randrange(n)][j] = 1
+        inst = Instance(tuple(map(tuple, rows)))
+        for k in range(m + 1):
+            got, want = inst.prefix(k), Instance(tuple(row[:k] for row in inst.utilities))
+            assert got == want and hash(got) == hash(want), (rows, k)
+            assert (got.n, got.m) == (n, k)
+            assert type(got.utilities) is tuple
+            assert all(type(row) is tuple for row in got.utilities)
+        for k in (-1, m + 1):
+            with pytest.raises(ValueError, match="prefix length out of range"):
+                inst.prefix(k)
+
+
 def test_instance_rejects_bad_matrices():
     with pytest.raises(ValueError):
         Instance(((1, 2), (2,)))  # ragged
@@ -327,6 +350,17 @@ def test_marginals_skip_discarded_items():
     p = marginals(dist)
     assert [p.entry(i, 0) for i in range(2)] == [0, 0]
     assert p.entry(1, 1) == 1
+
+
+def test_marginals_check_column_sums_on_the_counts():
+    # item 2 is discarded in one support allocation and assigned in the
+    # other, so its column sums to neither 0 nor 1
+    inst = Instance(((1, 1), (2, 1)))
+    for p, total in ((Fraction(1, 2), "1/2"), (Fraction(1, 3), "2/3")):
+        dist = AllocationDistribution.from_map(
+            inst, {Allocation((0, None)): p, Allocation((0, 1)): 1 - p})
+        with pytest.raises(ValueError, match=f"^column 2 sums to {total}, expected 0 or 1$"):
+            marginals(dist)
 
 
 def _reference_marginals(dist):

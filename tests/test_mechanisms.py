@@ -730,6 +730,33 @@ def test_engine_matches_walk_on_fractional_bids(exact_splits):
     assert 3 in exact_splits
 
 
+def _descending(rule_class):
+    """The rule, with every feasible set listed from the highest agent down."""
+
+    class Descending(rule_class):
+        def feasible(self, state, item, key):
+            return super().feasible(state, item, key)[::-1]
+
+    return Descending()
+
+
+def test_descending_feasible_sets_still_give_canonical_owners():
+    # the engine lists leaves in the order of the rule's feasible sets, and
+    # the distribution sorts them, so a custom rule's order does not show
+    unsorted = 0
+    for inst, bids in seeded_cases(60, 20261022):
+        for rule_class in (LikeRule, BalancedLikeRule, ParetoLikeRule):
+            rule = _descending(rule_class)
+            nodes, _, _ = mechanisms._expand(rule, inst, bids, True)
+            leaves = [owners for owners, _, _ in nodes]
+            unsorted += leaves != sorted(leaves)
+            dist = allocate(rule, inst, bids)
+            assert list(dist.owners) == sorted(dist.owners), (rule_class, bids)
+            want = _reference_allocate(rule, inst, bids)
+            assert dist == want and dist.entries == want.entries, (rule_class, bids)
+    assert unsorted > 50
+
+
 def test_runs_equal_freshly_validated_distributions_on_2x3_grid():
     # allocate and orp build their support through the unchecked Allocation
     # constructor; rebuilding it through the checked one changes nothing
@@ -833,8 +860,8 @@ def test_item_counts_merge_equal_keys():
     # is one merged node, whichever agent took which item
     inst = Instance(((1, 1, 1, 1), (1, 1, 1, 1)))
     bids = BidProfile.sincere(inst)
-    layer, counts, scale = mechanisms._expand(BalancedLikeRule(), inst, bids, False)
-    assert layer == {((), (2, 2)): scale}
+    nodes, counts, scale = mechanisms._expand(BalancedLikeRule(), inst, bids, False)
+    assert nodes == [((), (2, 2), scale)]
     assert [[Fraction(c, scale) for c in row] for row in counts] == [[Fraction(1, 2)] * 4] * 2
 
 
